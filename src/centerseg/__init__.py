@@ -18,6 +18,7 @@ from .clustering import (
     dbscan_naive,
     mean_shift,
     neighbor_counts,
+    neighbors_at_least,
     radius_neighbors,
 )
 from .config import PipelineConfig
@@ -122,6 +123,7 @@ __all__ = [
     "mask_iou",
     "mean_shift",
     "neighbor_counts",
+    "neighbors_at_least",
     "offset_loss",
     "pair_frames",
     "perturb",

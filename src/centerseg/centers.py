@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clustering import neighbor_counts
+from .clustering import neighbors_at_least
 from .grids import PIGLET, DimensionMismatch, GridDims, OffsetMap, SemanticMap, _frozen
 
 FILTER_DENSITY = "density"
@@ -131,8 +131,8 @@ def filter_centers(
     if min_neighbors < 0:
         raise ValueError("min_neighbors must be >= 0")
     if strategy == FILTER_DENSITY:
-        others = neighbor_counts(cloud.positions, radius_t) - 1
-        keep = others >= min_neighbors
+        # the vote itself is one of the points within radius_t
+        keep = neighbors_at_least(cloud.positions, radius_t, min_neighbors + 1)
     elif strategy == FILTER_OFFSET_MAGNITUDE:
         w = cloud.dims.width
         px = (cloud.source_pixels % w).astype(np.float64)

@@ -1,22 +1,33 @@
 """Clustering of 2-D vote positions.
 
-The default clusterer is DBSCAN backed by a uniform hash grid whose cell
-size equals the query radius, so a radius query only inspects the 3x3
-cell neighborhood. ``dbscan_naive`` is an independent O(n^2) reference
-implementation with the same deterministic contract; the two must agree
-bit for bit.
+DBSCAN contract, shared by :func:`dbscan` and the independent
+:func:`dbscan_naive` oracle, which must agree bit for bit:
+  - neighborhoods are closed balls: q is a neighbor of p iff
+    ``dx*dx + dy*dy <= eps*eps`` in float64, p itself included;
+  - p is a core point iff it has at least ``min_pts`` neighbors, and
+    cores linked by chains of core neighbors form one cluster;
+  - clusters are numbered 1, 2, ... by their lowest core index;
+  - each border point (not core, with a core neighbor) joins the
+    lowest-numbered cluster that has a core within ``eps`` of it;
+    every other point keeps label 0.
 
-Determinism rules, shared by both DBSCAN variants:
-  - points are scanned in ascending index order,
-  - cluster expansion uses a FIFO queue,
-  - neighbor lists are in ascending index order,
-  - neighborhoods are closed balls (distance <= radius counts),
-so border points always join the first cluster that reaches them.
+:func:`dbscan` computes this with the count-then-connect grid method of
+Gan & Tao (SIGMOD 2015, "DBSCAN Revisited") and de Berg, Gunawan &
+Roeloffzen (ISAAC 2017). Points are sorted into square cells of side
+just under eps/sqrt(2), so every neighbor of a point lies in the 5x5
+block of cells around its own. Count: a cell of at least ``min_pts``
+points whose bounding box fits in the ball is all core; other points
+add or skip whole neighbor cells by bounding-box bounds and test single
+pairs only against partly covered cells. Connect: union-find joins core
+cells that hold a core pair within ``eps``; border points then take the
+lowest cluster among their core neighbors. Float rounding is monotone,
+so every bounding-box shortcut agrees with the per-pair float test;
+where a bound cannot decide, the pairs are tested.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,167 +73,397 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-class GridIndex:
-    """Uniform hash grid over 2-D points; cell size equals the query radius."""
+# Cells have side just under r/sqrt(2), so a ball of radius r around a
+# point reaches at most two cells away along each axis: 5x5 neighbor cells.
+_REACH = 2
+_SHRINK = 1.0 - 1e-9
+_STEPS = np.arange(-_REACH, _REACH + 1)
+# a neighbor-table row lists offsets (dx, dy) with dx major; the twelve
+# after (0, 0) visit every pair of distinct neighbor cells once
+_FORWARD = np.arange(_STEPS.size**2 // 2 + 1, _STEPS.size**2)
+# cap on a cell coordinate along one axis, so cell keys fit in int64
+_AXIS_CELLS = float(2**30)
+# the neighbor table is looked up in a dense array of all cell keys when
+# there are at most this many keys per point, else by binary search
+_TABLE_CELLS = 32
+# pair tests run in blocks of about this many pairs, bounding memory
+_PAIR_BLOCK = 1 << 16
+# points whose neighbor-cell rows are bounded in one go
+_QUERY_BLOCK = 1 << 13
 
-    def __init__(self, points, cell_size: float):
-        if cell_size <= 0:
-            raise ValueError("cell_size must be > 0")
+
+def _axis_cells(v: np.ndarray, side: float, gap: float) -> np.ndarray:
+    """Integer cell coordinates along one axis, at most 2**30 apart from each other.
+
+    Normally ``floor((v - min) / side)``. When the range is too wide for
+    that, each run of sorted values with no gap wider than ``gap`` gets
+    its own origin and the runs are packed three cells apart. Either way
+    values within ``gap / 2`` of each other end up at most two cells
+    apart, and no float outside the int64 range is cast.
+    """
+    if v.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    lo = v.min()
+    if (v.max() - lo) / side < _AXIS_CELLS:
+        return np.floor((v - lo) / side).astype(np.int64)
+    order = np.argsort(v, kind="stable")
+    s = v[order]
+    opens = np.r_[True, s[1:] - s[:-1] > gap]
+    run = np.cumsum(opens) - 1
+    local = np.floor(np.minimum((s - s[opens][run]) / side, _AXIS_CELLS))
+    width = np.maximum.reduceat(local, np.flatnonzero(opens)) + 3
+    out = np.empty(v.size, dtype=np.int64)
+    out[order] = (np.cumsum(width) - width)[run] + local
+    return out
+
+
+def _ragged(first: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(k, p)``: every position ``first[k] <= p < first[k] + size[k]``, grouped by k."""
+    end = np.cumsum(size)
+    k = np.repeat(np.arange(size.size), size)
+    return k, np.arange(end[-1] if end.size else 0) + np.repeat(first - (end - size), size)
+
+
+def _boxes(x: np.ndarray, y: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Bounding boxes (xlo, xhi, ylo, yhi) of the runs of points beginning at ``starts``."""
+    if starts.size == 0:
+        return np.zeros((4, 0))
+    return np.stack(
+        [
+            np.minimum.reduceat(x, starts),
+            np.maximum.reduceat(x, starts),
+            np.minimum.reduceat(y, starts),
+            np.maximum.reduceat(y, starts),
+        ]
+    )
+
+
+def _point_boxes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.stack([x, x, y, y])
+
+
+def _bounds(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on ``dx*dx + dy*dy`` between boxes ``a`` and ``b``.
+
+    Float subtraction, squaring and addition are monotone, so for any
+    point in ``a`` and any point in ``b`` the float value of the pair
+    test lies within the two bounds: ``lower > r*r`` rules every pair
+    out and ``upper <= r*r`` rules every pair in, exactly as testing the
+    pairs one by one would.
+    """
+    with np.errstate(over="ignore"):
+        nx = np.maximum(np.maximum(b[0] - a[1], a[0] - b[1]), 0.0)
+        ny = np.maximum(np.maximum(b[2] - a[3], a[2] - b[3]), 0.0)
+        fx = np.maximum(b[1] - a[0], a[1] - b[0])
+        fy = np.maximum(b[3] - a[2], a[3] - b[2])
+        return nx * nx + ny * ny, fx * fx + fy * fy
+
+
+def _pair_tests(qx, qy, first, size, x, y, r2: float):
+    """Closed-ball tests of query ``i`` against points ``first[i] : first[i] + size[i]``.
+
+    Yields ``(i, j, hit)`` per block of about ``_PAIR_BLOCK`` pairs: the
+    query, the candidate's position in ``x``/``y``, and the float test
+    ``dx*dx + dy*dy <= r2`` that :func:`dbscan_naive` uses.
+    """
+    begin = np.cumsum(size) - size
+    total = int(begin[-1] + size[-1]) if size.size else 0
+    cuts = np.unique(np.r_[np.searchsorted(begin, np.arange(0, total, _PAIR_BLOCK)), size.size])
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        k, j = _ragged(first[a:b], size[a:b])
+        i = k + a
+        with np.errstate(over="ignore"):
+            dx = x[j] - qx[i]
+            dy = y[j] - qy[i]
+            yield i, j, dx * dx + dy * dy <= r2
+
+
+def _union(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Merge the sets of each pair ``(a[k], b[k])`` in a flat union-find forest.
+
+    ``parent`` maps every node straight to its root, and each root is the
+    smallest node of its set; both hold again on return. Each round hooks
+    the larger root of every split pair under the smaller one and then
+    flattens by pointer jumping; every set that still has a split pair
+    merges with at least one other, so the rounds are logarithmic.
+    """
+    while a.size:
+        ra, rb = parent[a], parent[b]
+        split = ra != rb
+        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent[:] = up
+
+
+class GridIndex:
+    """Points sorted into square cells for closed-ball queries of one radius.
+
+    Cells have side just under ``radius / sqrt(2)``, so every point within
+    ``radius`` of a point lies in the 5x5 block of cells around its own.
+    The points are kept sorted by cell (``x``, ``y``), ascending by index
+    within a cell, and ``order`` maps sorted positions back to indices.
+    Each cell has a bounding box, a row in ``nbr`` listing its 25
+    neighbor cells (-1 where empty) and in ``reach`` the number of points
+    in those cells. A point with a non-finite coordinate
+    is within ``radius`` of no point, itself included, and is left out.
+    """
+
+    def __init__(self, points, radius: float):
+        if not radius > 0:
+            raise ValueError("radius must be > 0")
         pts = _as_points(points)
-        self.cell_size = float(cell_size)
-        self.xs = pts[:, 0].copy()
-        self.ys = pts[:, 1].copy()
-        cells = defaultdict(list)
-        cx = np.floor(self.xs / self.cell_size).astype(np.int64)
-        cy = np.floor(self.ys / self.cell_size).astype(np.int64)
-        for i in range(pts.shape[0]):
-            cells[(int(cx[i]), int(cy[i]))].append(i)
-        self.cells = {key: np.asarray(idx, dtype=np.int64) for key, idx in cells.items()}
+        self.radius = float(radius)
+        self.r2 = self.radius * self.radius
+        self.size = pts.shape[0]
+        finite = np.flatnonzero(np.isfinite(pts).all(axis=1))
+        side = self.radius / math.sqrt(2.0) * _SHRINK
+        with np.errstate(over="ignore"):
+            kx = _axis_cells(pts[finite, 0], side, 2.0 * self.radius)
+            ky = _axis_cells(pts[finite, 1], side, 2.0 * self.radius)
+        span = int(ky.max(initial=0)) + 2 * _REACH + 1
+        keys = (kx + _REACH) * span + (ky + _REACH)
+        by_cell = np.argsort(keys, kind="stable")
+        keys = keys[by_cell]
+        self.order = finite[by_cell]
+        self.x = pts[self.order, 0]
+        self.y = pts[self.order, 1]
+        self.starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]) if keys.size else keys
+        self.counts = np.diff(np.r_[self.starts, keys.size])
+        self.cell_of = np.repeat(np.arange(self.starts.size), self.counts)
+        self.box = _boxes(self.x, self.y, self.starts)
+        cell_keys = keys[self.starts]
+        want = cell_keys[:, None] + (_STEPS[:, None] * span + _STEPS[None, :]).ravel()
+        space = (int(kx.max(initial=0)) + 2 * _REACH + 1) * span
+        if space <= _TABLE_CELLS * max(keys.size, 1024):
+            table = np.full(space, -1)
+            table[cell_keys] = np.arange(cell_keys.size)
+            self.nbr = table[want]
+        else:
+            at = np.searchsorted(cell_keys, want).clip(max=max(cell_keys.size - 1, 0))
+            self.nbr = np.where(cell_keys[at] == want, at, -1) if cell_keys.size else want
+        # points in all 25 neighbor cells; an index of -1 picks the trailing 0
+        self.reach = np.r_[self.counts, 0][self.nbr].sum(axis=1)
 
     def __len__(self) -> int:
-        return self.xs.size
+        return self.size
 
-    def candidates(self, x: float, y: float) -> np.ndarray:
-        """Point indices in the 3x3 cell neighborhood of (x, y)."""
-        cx = int(np.floor(x / self.cell_size))
-        cy = int(np.floor(y / self.cell_size))
-        chunks = []
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                got = self.cells.get((cx + dx, cy + dy))
-                if got is not None:
-                    chunks.append(got)
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(chunks)
+    def tight(self, box: np.ndarray) -> np.ndarray:
+        """Whether every pair of points inside each box is within the radius."""
+        return _bounds(box, box)[1] <= self.r2
+
+    def rows(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(k, cell)``: sorted position ``q[k]`` against each of its neighbor cells."""
+        nbr = self.nbr[self.cell_of[q]]
+        k, col = np.nonzero(nbr >= 0)
+        return k, nbr[k, col]
+
+    def counts_within(self, at_least: int | None = None) -> np.ndarray:
+        """Neighbor count of each sorted position, itself included.
+
+        Exact without ``at_least``. With it, a count is refined only until
+        it decides ``count >= at_least``, which the result then answers
+        exactly: a cell of at least ``at_least`` points whose box fits in
+        the ball needs no work, other points add or skip whole neighbor
+        cells by bounding-box bounds, and single pairs are tested only
+        for points still undecided, against partly covered cells.
+        """
+        out = self.counts[self.cell_of]
+        if at_least is None:
+            todo = np.arange(out.size)
+        else:
+            dense = self.tight(self.box) & (self.counts >= at_least)
+            todo = np.flatnonzero(~(dense | (self.reach < at_least))[self.cell_of])
+        for lo in range(0, todo.size, _QUERY_BLOCK):
+            q = todo[lo : lo + _QUERY_BLOCK]
+            k, cell = self.rows(q)
+            qx, qy = self.x[q][k], self.y[q][k]
+            lower, upper = _bounds(_point_boxes(qx, qy), self.box[:, cell])
+            full = upper <= self.r2
+            part = (lower <= self.r2) & ~full
+            low = np.bincount(k[full], self.counts[cell[full]], minlength=q.size).astype(np.int64)
+            high = low + np.bincount(k[part], self.counts[cell[part]], minlength=q.size).astype(np.int64)
+            open_ = high > low if at_least is None else (low < at_least) & (high >= at_least)
+            out[q] = low
+            test = part & open_[k]
+            k, cell = k[test], cell[test]
+            tests = _pair_tests(qx[test], qy[test], self.starts[cell], self.counts[cell], self.x, self.y, self.r2)
+            for i, _, hit in tests:
+                np.add.at(out, q[k[i[hit]]], 1)
+        return out
+
+    def unsorted(self, values: np.ndarray, fill) -> np.ndarray:
+        """``values`` per sorted position, in point order; ``fill`` for left-out points."""
+        out = np.full(len(self), fill, dtype=values.dtype)
+        out[self.order] = values
+        return out
 
 
 def radius_neighbors(index: GridIndex, query, r: float) -> np.ndarray:
     """Indices of all points within distance r of ``query``, ascending.
 
-    ``r`` must equal the index cell size; the 3x3 neighborhood guarantee
-    only holds for that radius.
+    ``r`` must equal the radius the index was built for.
     """
-    if r != index.cell_size:
-        raise ValueError(f"query radius {r} does not match index cell size {index.cell_size}")
+    if r != index.radius:
+        raise ValueError(f"query radius {r} does not match index radius {index.radius}")
     qx, qy = float(query[0]), float(query[1])
-    cand = index.candidates(qx, qy)
-    if cand.size == 0:
-        return cand
-    dx = index.xs[cand] - qx
-    dy = index.ys[cand] - qy
-    hit = cand[dx * dx + dy * dy <= r * r]
-    return np.sort(hit)
+    cells = np.flatnonzero(_bounds(_point_boxes(np.array([qx]), np.array([qy])), index.box)[0] <= index.r2)
+    hits = [
+        j[hit]
+        for _, j, hit in _pair_tests(
+            np.full(cells.size, qx),
+            np.full(cells.size, qy),
+            index.starts[cells],
+            index.counts[cells],
+            index.x,
+            index.y,
+            index.r2,
+        )
+    ]
+    return np.sort(index.order[np.concatenate(hits)]) if hits else np.empty(0, dtype=np.int64)
 
 
 def neighbor_counts(points, radius: float) -> np.ndarray:
     """Number of points within ``radius`` of each point, including itself.
 
-    Batched per grid cell so dense clouds do not pay a per-point python
-    loop; results match an exhaustive pairwise scan exactly.
+    Matches an exhaustive pairwise scan exactly.
     """
-    pts = _as_points(points)
-    n = pts.shape[0]
-    counts = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return counts
-    index = GridIndex(pts, radius)
-    r2 = radius * radius
-    for (cx, cy), members in index.cells.items():
-        chunks = []
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                got = index.cells.get((cx + dx, cy + dy))
-                if got is not None:
-                    chunks.append(got)
-        cand = np.concatenate(chunks)
-        cand_x = index.xs[cand]
-        cand_y = index.ys[cand]
-        # chunk the member rows to bound the distance-matrix size
-        for lo in range(0, members.size, 512):
-            rows = members[lo : lo + 512]
-            dxm = pts[rows, 0][:, None] - cand_x[None, :]
-            dym = pts[rows, 1][:, None] - cand_y[None, :]
-            counts[rows] = ((dxm * dxm + dym * dym) <= r2).sum(axis=1)
-    return counts
+    index = GridIndex(points, radius)
+    return index.unsorted(index.counts_within(), 0)
 
 
-def _eps_adjacency(pts: np.ndarray, index: GridIndex, eps: float) -> list[np.ndarray]:
-    """Per-point neighbor lists (ascending, self included) within eps.
+def neighbors_at_least(points, radius: float, k: int) -> np.ndarray:
+    """Whether each point has at least ``k`` points within ``radius``, itself included.
 
-    Built cell by cell against the 3x3 candidate neighborhood, with the
-    member rows chunked to bound the distance-matrix size.
+    Equal to ``neighbor_counts(points, radius) >= k``, but each count is
+    only refined as far as the answer needs.
     """
-    n = pts.shape[0]
-    eps2 = eps * eps
-    nbrs: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    for (cx, cy), members in index.cells.items():
-        chunks = []
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                got = index.cells.get((cx + dx, cy + dy))
-                if got is not None:
-                    chunks.append(got)
-        cand = np.sort(np.concatenate(chunks))
-        cand_x = index.xs[cand]
-        cand_y = index.ys[cand]
-        for lo in range(0, members.size, 512):
-            rows = members[lo : lo + 512]
-            dxm = pts[rows, 0][:, None] - cand_x[None, :]
-            dym = pts[rows, 1][:, None] - cand_y[None, :]
-            hit = (dxm * dxm + dym * dym) <= eps2
-            for k in range(rows.size):
-                nbrs[int(rows[k])] = cand[hit[k]]
-    return nbrs
+    index = GridIndex(points, radius)
+    return index.unsorted(index.counts_within(k) >= k, k <= 0)
+
+
+class _CoreCells:
+    """The core points of a grid index, grouped by cell like the index."""
+
+    def __init__(self, index: GridIndex, core: np.ndarray):
+        at = np.flatnonzero(core)
+        self.ids = index.order[at]
+        self.x = index.x[at]
+        self.y = index.y[at]
+        per_cell = np.bincount(index.cell_of[at], minlength=index.counts.size)
+        self.cells = np.flatnonzero(per_cell)
+        self.slot = np.full(index.counts.size, -1)
+        self.slot[self.cells] = np.arange(self.cells.size)
+        self.size = per_cell[self.cells]
+        self.first = np.cumsum(self.size) - self.size
+        self.own = np.repeat(np.arange(self.cells.size), self.size)
+        self.box = _boxes(self.x, self.y, self.first)
+        self.tight = index.tight(self.box)
+
+
+def _connect(index: GridIndex, cores: _CoreCells) -> np.ndarray:
+    """Union-find root of each core point: the lowest core index of its cluster.
+
+    The cores of a cell whose core box fits in the ball start as one
+    set. Neighbor cells whose boxes are farther apart than the radius
+    are skipped; pairs of such cells are joined by one probe pair each.
+    The pairs still split, and every pair with a cell whose box does not
+    fit, are tested pair by pair, checking between blocks which pairs
+    are still split.
+    """
+    r2 = index.r2
+    parent = np.arange(len(index))
+    rep = cores.ids[cores.first]
+    joined = cores.tight[cores.own]
+    parent[cores.ids[joined]] = rep[cores.own[joined]]
+
+    a = np.repeat(np.arange(cores.cells.size), _FORWARD.size)
+    b = cores.slot[index.nbr[cores.cells][:, _FORWARD]].ravel()
+    loose = np.flatnonzero(~cores.tight)
+    a, b = np.r_[a[b >= 0], loose], np.r_[b[b >= 0], loose]
+    near = _bounds(cores.box[:, a], cores.box[:, b])[0] <= r2
+    a, b = a[near], b[near]
+    both = cores.tight[a] & cores.tight[b]
+
+    # probe each cell pair with the cores nearest the centers of their boxes;
+    # this also joins every pair whose boxes lie wholly within the ball
+    x, y, own, first = cores.x, cores.y, cores.own, cores.first
+    d = (x - (cores.box[0] + cores.box[1])[own] / 2) ** 2 + (y - (cores.box[2] + cores.box[3])[own] / 2) ** 2
+    central = np.where(np.minimum.reduceat(d, first)[own] == d, np.arange(d.size), d.size)
+    probe = np.minimum.reduceat(central, first)
+    dx, dy = x[probe[b]] - x[probe[a]], y[probe[b]] - y[probe[a]]
+    hit = both & (dx * dx + dy * dy <= r2)
+    _union(parent, rep[a[hit]], rep[b[hit]])
+    a, b, both = a[~hit], b[~hit], both[~hit]
+
+    while a.size:
+        # a few blocks of pair work at a time, dropping pairs joined meanwhile
+        split = ~both | (parent[rep[a]] != parent[rep[b]])
+        a, b, both = a[split], b[split], both[split]
+        take = max(1, int(np.searchsorted(np.cumsum(cores.size[a] * cores.size[b]), 4 * _PAIR_BLOCK)))
+        k, q = _ragged(first[a[:take]], cores.size[a[:take]])
+        cell = b[:take][k]
+        near = _bounds(_point_boxes(x[q], y[q]), cores.box[:, cell])[0] <= r2
+        q, cell = q[near], cell[near]
+        for i, j, hit in _pair_tests(x[q], y[q], first[cell], cores.size[cell], x, y, r2):
+            _union(parent, cores.ids[q[i[hit]]], cores.ids[j[hit]])
+        a, b, both = a[take:], b[take:], both[take:]
+    return parent[cores.ids]
+
+
+def _border(index: GridIndex, core: np.ndarray, cores: _CoreCells, root: np.ndarray):
+    """Non-core sorted positions with a core neighbor, and the lowest root among those."""
+    r2 = index.r2
+    cell_root = np.minimum.reduceat(root, cores.first)
+    todo = np.flatnonzero(~core)
+    best = np.full(todo.size, len(index))
+    for lo in range(0, todo.size, _QUERY_BLOCK):
+        q = todo[lo : lo + _QUERY_BLOCK]
+        k, cell = index.rows(q)
+        s = cores.slot[cell]
+        k, s = k[s >= 0], s[s >= 0]
+        qx, qy = index.x[q][k], index.y[q][k]
+        lower, upper = _bounds(_point_boxes(qx, qy), cores.box[:, s])
+        full = upper <= r2
+        np.minimum.at(best, lo + k[full], cell_root[s[full]])
+        part = (lower <= r2) & ~full
+        k, s = k[part], s[part]
+        for i, j, hit in _pair_tests(qx[part], qy[part], cores.first[s], cores.size[s], cores.x, cores.y, r2):
+            np.minimum.at(best, lo + k[i[hit]], root[j[hit]])
+    found = best < len(index)
+    return todo[found], best[found]
 
 
 def dbscan(points, eps: float, min_pts: int) -> ClusterLabels:
-    """Density clustering with grid-indexed radius queries.
+    """Density clustering by the count-then-connect grid method.
 
-    A point is core iff at least ``min_pts`` points (itself included) lie
-    within ``eps``; clusters are maximal density-connected sets; points
-    that are neither core nor reachable keep label 0.
-
-    Neighbor lists are precomputed in one batched pass and the expansion
-    enqueues each point at most once; both are pure optimizations, the
-    output is bit-identical to :func:`dbscan_naive` (clusters numbered
-    by seed scan order, border points claimed by the first cluster that
-    reaches them).
+    Follows the module's contract: closed balls of radius ``eps``; a point
+    with at least ``min_pts`` neighbors, itself included, is core; clusters
+    are numbered by their lowest core index; each border point joins the
+    lowest-numbered cluster with a core within ``eps`` of it; every other
+    point keeps label 0. The output is bit-identical to
+    :func:`dbscan_naive`, and memory grows with the number of points, not
+    with the sizes of their neighborhoods.
     """
     if eps <= 0:
         raise ValueError("eps must be > 0")
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
-    pts = _as_points(points)
-    n = pts.shape[0]
-    labels = np.zeros(n, dtype=np.int64)
-    if n == 0:
+    index = GridIndex(points, eps)
+    labels = np.zeros(len(index), dtype=np.int64)
+    core = index.counts_within(min_pts) >= min_pts
+    if not core.any():
         return ClusterLabels(labels, 0)
-    index = GridIndex(pts, eps)
-    nbrs = _eps_adjacency(pts, index, eps)
-    core = np.fromiter((a.size for a in nbrs), dtype=np.int64, count=n) >= min_pts
-    seen = np.zeros(n, dtype=bool)
-    cluster = 0
-    for i in range(n):
-        if seen[i]:
-            continue
-        seen[i] = True
-        if not core[i]:
-            continue
-        cluster += 1
-        labels[i] = cluster
-        queue = deque((i,))
-        while queue:
-            j = queue.popleft()
-            if not core[j]:
-                continue
-            jn = nbrs[j]
-            unclaimed = jn[labels[jn] == 0]
-            labels[unclaimed] = cluster
-            fresh = jn[~seen[jn]]
-            seen[fresh] = True
-            queue.extend(fresh.tolist())
-    return ClusterLabels(labels, cluster)
+    cores = _CoreCells(index, core)
+    root = _connect(index, cores)
+    groups = np.unique(root)
+    labels[cores.ids] = np.searchsorted(groups, root) + 1
+    border, best = _border(index, core, cores, root)
+    labels[index.order[border]] = np.searchsorted(groups, best) + 1
+    return ClusterLabels(labels, groups.size)
 
 
 def dbscan_naive(points, eps: float, min_pts: int) -> ClusterLabels:

@@ -73,8 +73,11 @@ def _check_alignment(cloud: CenterCloud, labels: ClusterLabels) -> None:
         raise ValueError(f"{len(labels)} labels for {len(cloud)} votes")
 
 
-def _group_members(cloud: CenterCloud, labels: ClusterLabels) -> list[np.ndarray]:
-    return [np.flatnonzero(labels.labels == m) for m in range(1, labels.n_groups + 1)]
+def _group_members(labels: ClusterLabels) -> list[np.ndarray]:
+    """Vote indices of groups 1..n_groups, each ascending, from one stable sort."""
+    order = np.argsort(labels.labels, kind="stable")
+    cuts = np.searchsorted(labels.labels[order], np.arange(1, labels.n_groups + 1))
+    return np.split(order, cuts)[1:]
 
 
 def instances_from_labels(cloud: CenterCloud, labels: ClusterLabels) -> list[Instance]:
@@ -85,7 +88,7 @@ def instances_from_labels(cloud: CenterCloud, labels: ClusterLabels) -> list[Ins
     the group size divided by the largest group size in the frame.
     """
     _check_alignment(cloud, labels)
-    members = _group_members(cloud, labels)
+    members = _group_members(labels)
     if not members:
         return []
     largest = max(idx.size for idx in members)
@@ -121,7 +124,7 @@ def reassign_unlabeled(cloud: CenterCloud, labels: ClusterLabels) -> ClusterLabe
     if zero.size == 0:
         return labels
     centroids = np.stack(
-        [cloud.positions[idx].mean(axis=0) for idx in _group_members(cloud, labels)]
+        [cloud.positions[idx].mean(axis=0) for idx in _group_members(labels)]
     )
     dx = cloud.positions[zero, 0][:, None] - centroids[None, :, 0]
     dy = cloud.positions[zero, 1][:, None] - centroids[None, :, 1]
@@ -212,9 +215,8 @@ def segment_frame(
     t0 = time.perf_counter()
     if config.rc2m and labels.n_groups >= 1:
         labels = reassign_unlabeled(cloud, labels)
-        for m in range(labels.n_groups):
-            member = cloud.source_pixels[labels.labels == m + 1]
-            mask = BinaryMask.from_flat_indices(cloud.dims, member)
+        for m, idx in enumerate(_group_members(labels)):
+            mask = BinaryMask.from_flat_indices(cloud.dims, cloud.source_pixels[idx])
             instances[m] = replace(instances[m], mask=mask)
     timings["reassign"] = time.perf_counter() - t0
     unassigned = int(np.count_nonzero(labels.labels == 0))

@@ -1,14 +1,27 @@
 """DBSCAN (grid and naive), mean-shift, and the spatial index."""
 
+import tracemalloc
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from centerseg import (
+    CenterCloud,
+    GridDims,
     GridIndex,
+    clustering,
     dbscan,
     dbscan_naive,
+    filter_centers,
     mean_shift,
     neighbor_counts,
+    neighbors_at_least,
     radius_neighbors,
 )
 
@@ -189,3 +202,177 @@ def test_neighbor_counts_vs_bruteforce():
     got = neighbor_counts(pts, r)
     d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
     assert np.array_equal(got, (d2 <= r * r).sum(1))
+
+
+# --- the DBSCAN contract, checked clause by clause --------------------------
+
+
+def contract_labels(pts, eps, min_pts):
+    """Labels straight from the module's contract, by exhaustive pair tests.
+
+    Closed balls (``<=``); clusters are the connected components of the
+    core-neighbor graph, numbered by their lowest core index; a border
+    point takes the lowest-numbered cluster with a core within eps.
+    """
+    n = len(pts)
+    if n == 0:
+        return np.zeros(0, dtype=np.int64), 0
+    dx = pts[None, :, 0] - pts[:, None, 0]
+    dy = pts[None, :, 1] - pts[:, None, 1]
+    within = dx * dx + dy * dy <= eps * eps
+    core = within.sum(1) >= min_pts
+    _, comp = connected_components(csr_matrix(within & core[:, None] & core[None, :]))
+    labels = np.zeros(n, dtype=np.int64)
+    groups = 0
+    for i in np.flatnonzero(core):  # ascending: each component first seen at its lowest core
+        if labels[i] == 0:
+            groups += 1
+            labels[core & (comp == comp[i])] = groups
+    for i in np.flatnonzero(~core):
+        near = labels[within[i] & core]
+        if near.size:
+            labels[i] = near.min()
+    return labels, groups
+
+
+def lattice_clouds():
+    def cloud(extent):
+        site = st.tuples(st.integers(0, extent), st.integers(0, extent))
+        return st.lists(site, max_size=160).map(lambda xy: np.array(xy, dtype=np.float64).reshape(-1, 2))
+
+    return st.integers(1, 30).flatmap(cloud)
+
+
+def coincident_clouds():
+    sites = st.tuples(st.floats(-50, 50, allow_nan=False), st.floats(-50, 50, allow_nan=False))
+    return st.builds(
+        lambda spots, picks: np.array([spots[p % len(spots)] for p in picks]).reshape(-1, 2),
+        st.lists(sites, min_size=1, max_size=4),
+        st.lists(st.integers(0, 3), max_size=200),
+    )
+
+
+LATTICE_EPS = [1.0, float(np.sqrt(2.0)), 2.0, 2.5]
+
+
+def check_contract(pts, eps, min_pts, pair_block=None, query_block=None, shrink=None):
+    """dbscan against the contract and the oracle, optionally with small blocks or wide cells.
+
+    Small pair and query blocks make every cloud span several blocks.
+    Cells wider than eps/sqrt(2) hold pairs beyond eps, so the exact
+    fallbacks behind every cell shortcut run too.
+    """
+    with (
+        mock.patch.object(clustering, "_PAIR_BLOCK", pair_block or clustering._PAIR_BLOCK),
+        mock.patch.object(clustering, "_QUERY_BLOCK", query_block or clustering._QUERY_BLOCK),
+        mock.patch.object(clustering, "_SHRINK", shrink or clustering._SHRINK),
+    ):
+        got = dbscan(pts, eps, min_pts)
+    labels, groups = contract_labels(pts, eps, min_pts)
+    assert got.n_groups == groups
+    assert np.array_equal(got.labels, labels)
+    assert got == dbscan_naive(pts, eps, min_pts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pts=st.one_of(lattice_clouds(), coincident_clouds()),
+    eps=st.sampled_from(LATTICE_EPS),
+    min_pts=st.integers(1, 14),
+    blocks=st.sampled_from([(7, 5), (64, 16), (None, None)]),
+    shrink=st.sampled_from([None, 1.6]),
+)
+def test_dbscan_contract(pts, eps, min_pts, blocks, shrink):
+    check_contract(pts, eps, min_pts, *blocks, shrink)
+
+
+def test_dbscan_contract_wide_cells():
+    # sparse lattices in cells wider than eps/sqrt(2): cores sharing a cell need not connect
+    rng = np.random.default_rng(77)
+    for _ in range(300):
+        extent = int(rng.integers(1, 30))
+        n = int(rng.integers(0, 160))
+        if rng.random() < 0.3:
+            pts = rng.uniform(0, extent / 3, (n, 2))
+        else:
+            pts = rng.integers(0, extent + 1, (n, 2)) * rng.choice([1.0, 0.5])
+        eps = float(rng.choice(LATTICE_EPS))
+        check_contract(pts, eps, int(rng.integers(1, 15)), 64, 16, shrink=1.6)
+
+
+def test_dbscan_contract_large_lattice():
+    # thousands of votes on a lattice: ties on every ball boundary, many full-size pair blocks
+    rng = np.random.default_rng(12)
+    pts = rng.integers(0, 60, (6000, 2)).astype(np.float64)
+    for eps, min_pts in ((1.0, 3), (2.0, 7), (2.5, 12)):
+        labels, groups = contract_labels(pts, eps, min_pts)
+        got = dbscan(pts, eps, min_pts)
+        assert got.n_groups == groups and np.array_equal(got.labels, labels)
+
+
+def test_huge_finite_coordinates():
+    # float32-range votes at +-3e38 next to ordinary blobs: no undefined int casts
+    rng = np.random.default_rng(3)
+    blob = rng.normal(0, 1.0, (300, 2)) + [40.0, 25.0]
+    lattice = np.stack(np.meshgrid(np.arange(8.0), np.arange(8.0)), -1).reshape(-1, 2) + 100.0
+    far = np.array([[3e38, 3e38]] * 30 + [[-3e38, 1.0]] * 3 + [[2.0, -3e38], [3e38, -3e38]])
+    pts = np.vstack([blob[:150], far, lattice, blob[150:]])
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps, min_pts in ((2.5, 20), (2.5, 3), (1.0, 1), (1.0, 5)):
+            assert dbscan(pts, eps, min_pts) == dbscan_naive(pts, eps, min_pts)
+        assert np.array_equal(neighbor_counts(pts, 1.0), (d2 <= 1.0).sum(1))
+        counts = (d2 <= 20.0 * 20.0).sum(1)
+        assert np.array_equal(neighbor_counts(pts, 20.0), counts)
+        for k in (1, 10, 31, 400):
+            assert np.array_equal(neighbors_at_least(pts, 20.0, k), counts >= k)
+        n = len(pts)
+        cloud = CenterCloud(
+            dims=GridDims(n, 1),
+            source_pixels=np.arange(n),
+            positions=pts,
+            groups=np.zeros(n, dtype=np.int64),
+            filtered=np.zeros(n, dtype=bool),
+        )
+        flagged = filter_centers(cloud, radius_t=20.0, min_neighbors=10).filtered
+    assert np.array_equal(flagged, counts - 1 < 10)
+
+
+def test_non_finite_votes_have_no_neighbors():
+    pts = np.array([[0.0, 0.0]] * 5 + [[np.nan, 0.0], [np.inf, 1.0], [0.0, -np.inf]] + [[0.5, 0.0]] * 2)
+    with np.errstate(invalid="ignore"):
+        expected = dbscan_naive(pts, 1.0, 3)
+    assert dbscan(pts, 1.0, 3) == expected
+    assert list(expected.labels) == [1] * 5 + [0] * 3 + [1] * 2
+    assert list(neighbor_counts(pts, 1.0)) == [7] * 5 + [0] * 3 + [7] * 2
+
+
+def test_neighbors_at_least_vs_bruteforce():
+    # every k that some point's count equals, and one past it: the decisions at the edge
+    rng = np.random.default_rng(41)
+    for trial in range(16):
+        if trial % 2:
+            pts = random_cloud(rng, int(rng.integers(1, 600)))
+            r = float(rng.uniform(0.5, 15.0))
+        else:
+            pts = rng.integers(0, 12, (int(rng.integers(1, 200)), 2)) * 0.5
+            r = float(rng.choice([0.5, 1.0, 1.5]))
+        counts = (((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1) <= r * r).sum(1)
+        for k in np.unique(np.r_[0, counts, counts + 1]):
+            assert np.array_equal(neighbors_at_least(pts, r, k), counts >= k)
+
+
+def test_memory_grows_with_votes_not_neighborhoods():
+    # 4 packs of 10k coincident votes: every vote has 10k neighbors
+    spots = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0], [100.0, 100.0]])
+    pts = np.repeat(spots, 10_000, axis=0)
+    tracemalloc.start()
+    try:
+        labels = dbscan(pts, 2.5, 50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert labels.n_groups == 4
+    assert np.array_equal(labels.labels, np.repeat(np.arange(1, 5), 10_000))
+    assert peak < 64 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
