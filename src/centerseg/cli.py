@@ -2,9 +2,10 @@
 
 Subcommands: segment, track, eval, bench, gradcheck, synth. Exit codes:
 0 success, 1 runtime failure, 2 malformed input or bad arguments. Frame
-batches in ``segment`` and ``eval`` are processed in parallel; the
-worker count comes from --jobs or the CENTERSEG_THREADS environment
-variable.
+batches in ``segment`` are processed in parallel; the worker count comes
+from --jobs or the CENTERSEG_THREADS environment variable. ``eval``
+loads its manifests one after another: it accepts --jobs, which has no
+effect.
 """
 
 from __future__ import annotations
@@ -144,12 +145,17 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         print(f"{len(args.pred)} prediction frames vs {len(args.gt)} ground-truth frames", file=sys.stderr)
         return 2
 
-    def load(path: Path):
-        return formats.read_manifest(path)[2]
-
-    with ThreadPoolExecutor(max_workers=_n_jobs(args)) as pool:
-        preds = list(pool.map(load, args.pred))
-        gts = list(pool.map(load, args.gt))
+    preds, gts = [], []
+    for i, (pred_path, gt_path) in enumerate(zip(args.pred, args.gt)):
+        _, pred_dims, pred = formats.read_manifest(pred_path)
+        _, gt_dims, gt = formats.read_manifest(gt_path)
+        if pred_dims != gt_dims:
+            raise DimensionMismatch(
+                f"frame {i}: {pred_path} is {pred_dims.width}x{pred_dims.height} "
+                f"but {gt_path} is {gt_dims.width}x{gt_dims.height}"
+            )
+        preds.append(pred)
+        gts.append(gt)
     result = map_eval(preds, gts)
     for thr in sorted({t for _, t in result.per_class_threshold}):
         print(f"AP@{thr:.2f} = {result.per_threshold[thr]:.3f}")
@@ -256,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="mAP of predictions against ground truth")
     p.add_argument("--pred", type=Path, nargs="+", required=True)
     p.add_argument("--gt", type=Path, nargs="+", required=True)
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("bench", help="clustering speed comparison and stage breakdown")

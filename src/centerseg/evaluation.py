@@ -25,26 +25,33 @@ IOU_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 
 
 def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
-    """Intersection over union of two masks; 0.0 when both are empty."""
+    """Intersection over union of two masks; 0.0 when both are empty.
+
+    The intersection is counted only over the overlap of the two
+    bounding boxes (0 at once when they are disjoint) and the union
+    comes from the cached areas, so the cost follows the masks' extent,
+    not the frame's.
+    """
     if a.dims != b.dims:
         raise DimensionMismatch(
             f"{a.dims.width}x{a.dims.height} vs {b.dims.width}x{b.dims.height}"
         )
-    inter = int(np.count_nonzero(a.pixels & b.pixels))
-    union = int(np.count_nonzero(a.pixels | b.pixels))
-    return 0.0 if union == 0 else inter / union
+    ar0, ar1, ac0, ac1 = a.bbox
+    br0, br1, bc0, bc1 = b.bbox
+    r0, r1 = max(ar0, br0), min(ar1, br1)
+    c0, c1 = max(ac0, bc0), min(ac1, bc1)
+    if r0 >= r1 or c0 >= c1:
+        return 0.0
+    inter = int(np.count_nonzero(a.pixels[r0:r1, c0:c1] & b.pixels[r0:r1, c0:c1]))
+    return inter / (a.area + b.area - inter)
 
 
 def _iou_matrix(det_masks: list[BinaryMask], gt_masks: list[BinaryMask]) -> np.ndarray:
-    """Pairwise mask IoU via sorted flat-index intersections."""
-    det_idx = [m.flat_indices() for m in det_masks]
-    gt_idx = [m.flat_indices() for m in gt_masks]
+    """Pairwise :func:`mask_iou` table, detections by ground truths."""
     table = np.zeros((len(det_masks), len(gt_masks)))
-    for i, a in enumerate(det_idx):
-        for j, b in enumerate(gt_idx):
-            inter = np.intersect1d(a, b, assume_unique=True).size
-            union = a.size + b.size - inter
-            table[i, j] = 0.0 if union == 0 else inter / union
+    for i, a in enumerate(det_masks):
+        for j, b in enumerate(gt_masks):
+            table[i, j] = mask_iou(a, b)
     return table
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig
-from .grids import GridDims, OffsetMap, SemanticMap, rle_decode, rle_encode
+from .grids import GridDims, OffsetMap, SemanticMap, bounding_box, rle_decode, rle_encode
 from .instances import Instance
 from .synth import NoiseModel, SceneSpec
 from .tracking import TrackMetrics
@@ -215,19 +215,35 @@ def metrics_csv_loads(text: str, path="<memory>") -> list[tuple]:
 
 
 def heatmap_pgm_bytes(counts: np.ndarray) -> bytes:
-    """Binary P5 graymap of visit counts, linearly rescaled to max 255."""
+    """Binary P5 graymap of visit counts, linearly rescaled to max 255.
+
+    Only the bounding box of the nonzero counts is rescaled; the rest of
+    the frame is 0 either way.
+    """
     counts = np.asarray(counts)
     h, w = counts.shape
-    peak = int(counts.max()) if counts.size else 0
+    r0, r1, c0, c1 = bounding_box(counts)
+    box = counts[r0:r1, c0:c1]
+    peak = int(box.max()) if box.size else 0
+    scaled = np.zeros((h, w), dtype=np.uint8)
     if peak > 0:
-        scaled = np.rint(counts.astype(np.float64) * (255.0 / peak)).astype(np.uint8)
-    else:
-        scaled = np.zeros_like(counts, dtype=np.uint8)
+        scaled[r0:r1, c0:c1] = np.rint(box.astype(np.float64) * (255.0 / peak)).astype(np.uint8)
     return f"P5\n{w} {h}\n255\n".encode() + scaled.tobytes()
 
 
 def counts_csv_dumps(counts: np.ndarray) -> str:
-    return "\n".join(",".join(str(int(v)) for v in row) for row in np.asarray(counts)) + "\n"
+    """Integer (rows, cols) counts as CSV, one line per row.
+
+    Rows outside the bounding box of the nonzero counts are one shared
+    zero line; inside it only the box's columns are formatted.
+    """
+    counts = np.asarray(counts)
+    h, w = counts.shape
+    zero_row = ",".join("0" * w)
+    r0, r1, c0, c1 = bounding_box(counts)
+    left, right = "0," * c0, ",0" * (w - c1)
+    inner = [left + ",".join(map(str, row)) + right for row in counts[r0:r1, c0:c1].tolist()]
+    return "\n".join([zero_row] * r0 + inner + [zero_row] * (h - r1)) + "\n"
 
 
 # --- flat key=value config files -------------------------------------------

@@ -11,6 +11,7 @@ read-only) and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,9 +63,25 @@ class GridDims:
         return (p % self.width, p // self.width)
 
 
+def bounding_box(arr: np.ndarray) -> tuple[int, int, int, int]:
+    """Half-open box ``(row0, row1, col0, col1)`` of the nonzero entries of
+    a 2-D array, from two ``any`` reductions; ``(0, 0, 0, 0)`` when there
+    are none."""
+    rows = np.flatnonzero(arr.any(axis=1))
+    if rows.size == 0:
+        return (0, 0, 0, 0)
+    r0, r1 = int(rows[0]), int(rows[-1]) + 1
+    cols = np.flatnonzero(arr[r0:r1].any(axis=0))
+    return (r0, r1, int(cols[0]), int(cols[-1]) + 1)
+
+
 @dataclass(frozen=True, eq=False)
 class BinaryMask:
-    """A set of pixels on a grid, stored as a boolean (rows, cols) array."""
+    """A set of pixels on a grid, stored as a boolean (rows, cols) array.
+
+    ``bbox`` and ``area`` are computed on first use and cached; that is
+    safe because ``pixels`` is read-only.
+    """
 
     dims: GridDims
     pixels: np.ndarray
@@ -92,9 +109,15 @@ class BinaryMask:
         flat[idx] = True
         return cls(dims, flat.reshape(dims.shape))
 
-    @property
+    @cached_property
+    def bbox(self) -> tuple[int, int, int, int]:
+        """Bounding box of the set pixels, see :func:`bounding_box`."""
+        return bounding_box(self.pixels)
+
+    @cached_property
     def area(self) -> int:
-        return int(self.pixels.sum())
+        r0, r1, c0, c1 = self.bbox
+        return int(np.count_nonzero(self.pixels[r0:r1, c0:c1]))
 
     def flat_indices(self) -> np.ndarray:
         """Set pixels as ascending row-major flat indices."""

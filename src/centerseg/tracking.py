@@ -53,7 +53,8 @@ class Track:
         area = inst.mask.area
         self.areas.append(area)
         self.top_areas = sorted(self.top_areas + [area], reverse=True)[:TOP_AREA_KEEP]
-        self.occupancy[inst.mask.pixels] += 1
+        r0, r1, c0, c1 = inst.mask.bbox
+        self.occupancy[r0:r1, c0:c1] += inst.mask.pixels[r0:r1, c0:c1]
 
 
 @dataclass

@@ -166,3 +166,23 @@ def test_unknown_config_key_exit_2(tmp_path):
         "--out", str(tmp_path / "o.json"), "--config", str(cfg_path),
     ])
     assert code == 2
+
+
+def test_eval_grid_mismatch_names_frame_and_files(tmp_path, capsys):
+    def manifest(path, width, height):
+        rle = [0, 8] + [width * height - 8]  # one 8-pixel instance at the start
+        path.write_text(
+            f'{{"frame":0,"height":{height},"instances":[{{"class":"piglet",'
+            f'"predicted_center":[1.0,0.5],"rle":{rle},"score":0.9}}],"width":{width}}}\n'
+        )
+        return str(path)
+
+    ok = manifest(tmp_path / "ok.json", 8, 4)
+    pred = manifest(tmp_path / "pred.json", 8, 4)
+    gt = manifest(tmp_path / "gt.json", 4, 8)
+    code = main(["eval", "--pred", ok, pred, "--gt", ok, gt])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "frame 1" in captured.err
+    assert "pred.json" in captured.err and "gt.json" in captured.err
+    assert "mAP" not in captured.out

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from centerseg import (
     BinaryMask,
+    DimensionMismatch,
     GridDims,
     Instance,
     average_precision,
@@ -51,8 +52,6 @@ def test_iou_both_empty():
 
 
 def test_iou_dims_mismatch():
-    from centerseg import DimensionMismatch
-
     with pytest.raises(DimensionMismatch):
         mask_iou(block(0, 0, 2, 2), BinaryMask.empty(GridDims(8, 8)))
 
@@ -164,3 +163,81 @@ def test_ap_score_shift_invariance(scores, shift):
     base = average_precision(dets, gts, 0.5)
     moved = [det(d.mask, transform(d.score)) for d in dets]
     assert average_precision(moved, gts, 0.5) == pytest.approx(base, abs=1e-12)
+
+
+def full_frame_iou(a, b):
+    """The full-frame kernel the bounding-box crop replaced."""
+    inter = int(np.count_nonzero(a.pixels & b.pixels))
+    union = int(np.count_nonzero(a.pixels | b.pixels))
+    return 0.0 if union == 0 else inter / union
+
+
+@st.composite
+def boxed_mask(draw, box):
+    """A mask whose pixels lie in ``box`` = (y0, y1, x0, x1), randomly filled."""
+    y0, y1, x0, x1 = box
+    px = np.zeros(DIMS.shape, dtype=bool)
+    if draw(st.booleans()):
+        px[y0:y1, x0:x1] = True
+    else:
+        n = (y1 - y0) * (x1 - x0)
+        bits = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        px[y0:y1, x0:x1] = np.array(bits, dtype=bool).reshape(y1 - y0, x1 - x0)
+    return BinaryMask(DIMS, px)
+
+
+@st.composite
+def box(draw, y_lo=0, y_hi=16, x_lo=0, x_hi=16):
+    y0 = draw(st.integers(y_lo, y_hi - 1))
+    x0 = draw(st.integers(x_lo, x_hi - 1))
+    return (y0, draw(st.integers(y0 + 1, y_hi)), x0, draw(st.integers(x0 + 1, x_hi)))
+
+
+@st.composite
+def mask_pair(draw):
+    """Two masks whose boxes are independent, nested, touching or disjoint,
+    or one of them empty."""
+    a_box = draw(box())
+    y0, y1, x0, x1 = a_box
+    relation = draw(st.sampled_from(["independent", "nested", "touching", "disjoint", "empty"]))
+    if relation == "nested":
+        b_box = draw(box(y0, y1, x0, x1))
+    elif relation == "touching":  # shares the column x1 - 1 or starts right after it
+        start = x1 - draw(st.integers(0, 1))
+        if start >= 16:
+            start = 15
+        b_box = (y0, y1, start, draw(st.integers(start + 1, 16)))
+    elif relation == "disjoint":  # below, right of, above or left of a's box
+        sides = [
+            dict(y_lo=y1), dict(x_lo=x1), dict(y_hi=y0), dict(x_hi=x0),
+        ]
+        sides = [s for s, room in zip(sides, (y1 < 16, x1 < 16, y0 > 0, x0 > 0)) if room] or [{}]
+        b_box = draw(box(**draw(st.sampled_from(sides))))
+    else:
+        b_box = draw(box())
+    a = draw(boxed_mask(a_box))
+    b = BinaryMask.empty(DIMS) if relation == "empty" else draw(boxed_mask(b_box))
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=mask_pair())
+def test_iou_matches_full_frame_kernel(pair):
+    a, b = pair
+    assert mask_iou(a, b) == full_frame_iou(a, b)
+    assert mask_iou(b, a) == full_frame_iou(a, b)
+
+
+def test_iou_touching_and_nested_examples():
+    assert mask_iou(block(0, 0, 4, 4), block(4, 0, 8, 4)) == 0.0  # edge-adjacent
+    assert mask_iou(block(0, 0, 4, 4), block(3, 0, 8, 4)) == 4 / 32  # one shared column
+    assert mask_iou(block(0, 0, 8, 8), block(2, 2, 4, 4)) == 4 / 64  # nested
+    empty = BinaryMask.empty(DIMS)
+    assert mask_iou(empty, block(0, 0, 2, 2)) == 0.0
+
+
+def test_map_eval_rejects_masks_from_different_grids():
+    pred = block(0, 0, 4, 2, dims=GridDims(8, 4))
+    gt = block(0, 0, 2, 4, dims=GridDims(4, 8))
+    with pytest.raises(DimensionMismatch):
+        map_eval([[det(pred, 0.9)]], [[det(gt, 1.0)]])

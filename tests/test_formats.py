@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from centerseg import (
     BinaryMask,
@@ -171,6 +174,62 @@ def test_pgm_header_and_scaling():
 def test_counts_csv():
     counts = np.array([[1, 2], [3, 4]])
     assert counts_csv_dumps(counts) == "1,2\n3,4\n"
+
+
+def counts_csv_by_cells(counts):
+    """The per-cell writer the bounding-box crop replaced."""
+    return "\n".join(",".join(str(int(v)) for v in row) for row in np.asarray(counts)) + "\n"
+
+
+def pgm_over_full_frame(counts):
+    """The full-frame graymap writer the bounding-box crop replaced."""
+    counts = np.asarray(counts)
+    h, w = counts.shape
+    peak = int(counts.max()) if counts.size else 0
+    if peak > 0:
+        scaled = np.rint(counts.astype(np.float64) * (255.0 / peak)).astype(np.uint8)
+    else:
+        scaled = np.zeros_like(counts, dtype=np.uint8)
+    return f"P5\n{w} {h}\n255\n".encode() + scaled.tobytes()
+
+
+UINT32_MAX = int(np.iinfo(np.uint32).max)
+SHAPES = st.tuples(st.integers(1, 7), st.integers(1, 7))
+VISIT_COUNTS = arrays(
+    np.uint32, SHAPES,
+    elements=st.one_of(st.just(0), st.just(UINT32_MAX), st.integers(0, UINT32_MAX)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    counts=st.one_of(
+        VISIT_COUNTS,
+        arrays(np.int64, SHAPES, elements=st.one_of(st.just(0), st.integers(-(2**40), 2**40))),
+    )
+)
+def test_counts_csv_matches_per_cell_writer(counts):
+    assert counts_csv_dumps(counts) == counts_csv_by_cells(counts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=VISIT_COUNTS)
+def test_pgm_matches_full_frame_writer(counts):
+    assert heatmap_pgm_bytes(counts) == pgm_over_full_frame(counts)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (5, 6)])
+def test_track_writers_on_all_zero_and_single_cells(shape):
+    zeros = np.zeros(shape, dtype=np.uint32)
+    assert counts_csv_dumps(zeros) == counts_csv_by_cells(zeros)
+    assert heatmap_pgm_bytes(zeros) == pgm_over_full_frame(zeros)
+    for r, c in np.ndindex(*shape):
+        one = zeros.copy()
+        one[r, c] = UINT32_MAX
+        assert counts_csv_dumps(one) == counts_csv_by_cells(one)
+        assert heatmap_pgm_bytes(one) == pgm_over_full_frame(one)
+        neg = one.astype(np.int64) * -1
+        assert counts_csv_dumps(neg) == counts_csv_by_cells(neg)
 
 
 def test_config_round_trip():

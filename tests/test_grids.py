@@ -112,3 +112,32 @@ def test_mask_area_and_indices():
     assert list(mask.flat_indices()) == [0, 7, 19]
     with pytest.raises(ValueError):
         BinaryMask.from_flat_indices(dims, [20])
+
+
+def test_bbox_and_area_of_empty_full_and_corner_pixels():
+    dims = GridDims(5, 4)
+    empty = BinaryMask.empty(dims)
+    assert empty.bbox == (0, 0, 0, 0)
+    assert empty.area == 0
+    full = BinaryMask.full(dims)
+    assert full.bbox == (0, 4, 0, 5)
+    assert full.area == 20
+    for x, y in [(0, 0), (4, 0), (0, 3), (4, 3)]:
+        corner = BinaryMask.from_flat_indices(dims, [dims.flat_index(x, y)])
+        assert corner.bbox == (y, y + 1, x, x + 1)
+        assert corner.area == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    w=st.integers(1, 9),
+    h=st.integers(1, 9),
+    bits=st.lists(st.booleans(), min_size=81, max_size=81),
+)
+def test_bbox_and_area_match_nonzero(w, h, bits):
+    pixels = np.array(bits).reshape(9, 9)[:h, :w]
+    mask = BinaryMask(GridDims(w, h), pixels)
+    ys, xs = np.nonzero(pixels)
+    expected = (0, 0, 0, 0) if ys.size == 0 else (ys.min(), ys.max() + 1, xs.min(), xs.max() + 1)
+    assert mask.bbox == expected
+    assert mask.area == int(pixels.sum())

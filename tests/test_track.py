@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centerseg import (
     BinaryMask,
@@ -243,3 +245,26 @@ def test_id_uniqueness_over_churn():
         assert len(ids) == len(set(ids))
     all_ids = [t.track_id for t in state.all_tracks()]
     assert len(all_ids) == len(set(all_ids))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    w=st.integers(1, 8),
+    h=st.integers(1, 8),
+    frames=st.lists(
+        st.tuples(st.lists(st.booleans(), min_size=64, max_size=64), st.integers(0, 63)),
+        min_size=1, max_size=6,
+    ),
+)
+def test_cropped_occupancy_matches_full_frame_scatter(w, h, frames):
+    dims = GridDims(w, h)
+    track = Track(track_id=0, cls="piglet", dims=dims)
+    expected = np.zeros(dims.shape, dtype=np.uint32)
+    for i, (bits, k) in enumerate(frames):
+        pixels = np.array(bits).reshape(8, 8)[:h, :w]
+        pixels[(k // 8) % h, k % w] = True  # an instance covers at least one pixel
+        mask = BinaryMask(dims, pixels)
+        track.add_record(i, Instance(mask=mask, predicted_center=(0.0, 0.0), cls="piglet", score=1.0))
+        expected[mask.pixels] += 1
+        assert track.occupancy.dtype == np.uint32
+        assert np.array_equal(track.occupancy, expected)
