@@ -10,7 +10,7 @@ deterministic synthetic scene generator, and a CLI with bit-exact file
 formats.
 """
 
-from .centers import CenterCloud, CenterPoint, filter_centers, generate_centers
+from .centers import CenterCloud, filter_centers, generate_centers
 from .clustering import (
     ClusterLabels,
     GridIndex,
@@ -86,7 +86,6 @@ __all__ = [
     "APResult",
     "BinaryMask",
     "CenterCloud",
-    "CenterPoint",
     "ClusterLabels",
     "DimensionMismatch",
     "FocalParams",

@@ -2,8 +2,8 @@
 
 Every piglet-labeled pixel casts one vote at pixel + offset. Votes keep
 their source pixel index so clustered votes can be traced back to masks.
-Filtering never deletes votes, it only flags them; flagged votes stay at
-group 0 and can be reclaimed later by the residual reassignment step.
+Filtering never deletes votes, it only flags them; flagged votes skip
+clustering and can be reclaimed later by the residual reassignment step.
 """
 
 from __future__ import annotations
@@ -19,16 +19,6 @@ FILTER_DENSITY = "density"
 FILTER_OFFSET_MAGNITUDE = "offset-magnitude"
 
 
-@dataclass(frozen=True)
-class CenterPoint:
-    """One vote: the source pixel, its predicted center, and its group."""
-
-    source_pixel: int
-    position: tuple[float, float]
-    group: int = 0
-    filtered: bool = False
-
-
 @dataclass(frozen=True, eq=False)
 class CenterCloud:
     """All votes of one frame, ordered by ascending source pixel."""
@@ -36,16 +26,14 @@ class CenterCloud:
     dims: GridDims
     source_pixels: np.ndarray  # (n,) int64, strictly ascending
     positions: np.ndarray  # (n, 2) float64, may lie outside the grid
-    groups: np.ndarray  # (n,) int64, 0 = unclassified/noise
     filtered: np.ndarray  # (n,) bool
 
     def __post_init__(self) -> None:
         src = np.asarray(self.source_pixels, dtype=np.int64)
         pos = np.asarray(self.positions, dtype=np.float64).reshape(-1, 2)
-        grp = np.asarray(self.groups, dtype=np.int64)
         flt = np.asarray(self.filtered, dtype=bool)
         n = src.size
-        if pos.shape[0] != n or grp.size != n or flt.size != n:
+        if pos.shape[0] != n or flt.size != n:
             raise ValueError("cloud arrays must have equal length")
         if n:
             if src.min() < 0 or src.max() >= self.dims.npixels:
@@ -54,22 +42,10 @@ class CenterCloud:
                 raise ValueError("source pixels must be strictly ascending")
         object.__setattr__(self, "source_pixels", _frozen(src))
         object.__setattr__(self, "positions", _frozen(pos))
-        object.__setattr__(self, "groups", _frozen(grp))
         object.__setattr__(self, "filtered", _frozen(flt))
 
     def __len__(self) -> int:
         return int(self.source_pixels.size)
-
-    def point(self, i: int) -> CenterPoint:
-        return CenterPoint(
-            source_pixel=int(self.source_pixels[i]),
-            position=(float(self.positions[i, 0]), float(self.positions[i, 1])),
-            group=int(self.groups[i]),
-            filtered=bool(self.filtered[i]),
-        )
-
-    def __iter__(self):
-        return (self.point(i) for i in range(len(self)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CenterCloud):
@@ -78,7 +54,6 @@ class CenterCloud:
             self.dims == other.dims
             and np.array_equal(self.source_pixels, other.source_pixels)
             and np.array_equal(self.positions, other.positions)
-            and np.array_equal(self.groups, other.groups)
             and np.array_equal(self.filtered, other.filtered)
         )
 
@@ -101,13 +76,11 @@ def generate_centers(semantic: SemanticMap, offsets: OffsetMap) -> CenterCloud:
     ys = (src // w).astype(np.float64)
     vec = offsets.vectors.reshape(-1, 2)[src].astype(np.float64)
     pos = np.stack([xs + vec[:, 0], ys + vec[:, 1]], axis=1)
-    n = src.size
     return CenterCloud(
         dims=semantic.dims,
         source_pixels=src,
         positions=pos,
-        groups=np.zeros(n, dtype=np.int64),
-        filtered=np.zeros(n, dtype=bool),
+        filtered=np.zeros(src.size, dtype=bool),
     )
 
 
@@ -141,6 +114,4 @@ def filter_centers(
         keep = dist <= radius_t
     else:
         raise ValueError(f"unknown filter strategy: {strategy!r}")
-    flagged = ~keep
-    groups = np.where(flagged, 0, cloud.groups)
-    return replace(cloud, groups=groups, filtered=flagged)
+    return replace(cloud, filtered=~keep)

@@ -2,10 +2,10 @@
 
 Subcommands: segment, track, eval, bench, gradcheck, synth. Exit codes:
 0 success, 1 runtime failure, 2 malformed input or bad arguments. Frame
-batches in ``segment`` are processed in parallel; the worker count comes
-from --jobs or the CENTERSEG_THREADS environment variable. ``eval``
-loads its manifests one after another: it accepts --jobs, which has no
-effect.
+batches in ``segment`` are processed in parallel on --jobs worker
+threads, by default min(8, cpu_count); the error for a frame whose two
+maps differ in size starts with its ``.ccsm`` path. ``eval`` loads its
+manifests one after another: it accepts --jobs, which has no effect.
 """
 
 from __future__ import annotations
@@ -62,20 +62,16 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     return cfg
 
 
-def _n_jobs(args: argparse.Namespace) -> int:
-    if getattr(args, "jobs", None):
-        return max(1, args.jobs)
-    env = os.environ.get("CENTERSEG_THREADS")
-    return max(1, int(env)) if env else min(8, os.cpu_count() or 1)
-
-
 def _cmd_segment(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
 
     def run_one(sem_path: Path, off_path: Path, out_path: Path, frame_id: int):
         semantic = formats.read_semantic(sem_path)
         offsets = formats.read_offsets(off_path)
-        result = segment_frame(semantic, offsets, cfg)
+        try:
+            result = segment_frame(semantic, offsets, cfg)
+        except DimensionMismatch as exc:
+            raise DimensionMismatch(f"{sem_path}: {exc}") from exc
         formats.write_manifest(out_path, frame_id, semantic.dims, result.instances)
         return result.timings
 
@@ -91,7 +87,8 @@ def _cmd_segment(args: argparse.Namespace) -> int:
                 print(f"missing offset file for {sem}", file=sys.stderr)
                 return 2
             jobs.append((sem, off, sem.with_suffix(".json"), i))
-        with ThreadPoolExecutor(max_workers=_n_jobs(args)) as pool:
+        workers = max(1, args.jobs) if args.jobs else min(8, os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             timings = list(pool.map(lambda j: run_one(*j), jobs))
         if args.timings:
             args.timings.write_text(json.dumps(timings, sort_keys=True) + "\n")
@@ -249,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame-id", type=int, default=0)
     p.add_argument("--batch-dir", type=Path, help="directory of paired .ccsm/.ccof files")
     p.add_argument("--timings", type=Path, help="write per-stage wall times to this JSON file")
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=int, help="worker threads for --batch-dir (default: min(8, cpu_count))")
     _add_config_flags(p)
     p.set_defaults(func=_cmd_segment)
 

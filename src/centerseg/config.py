@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 ALGORITHMS = ("dbscan", "dbscan-naive", "mean-shift")
 FILTER_STRATEGIES = ("density", "offset-magnitude")
@@ -61,7 +61,3 @@ class PipelineConfig:
             raise ValueError("min_iou must be >= 0")
         if self.fps <= 0:
             raise ValueError("fps must be > 0")
-
-    @classmethod
-    def field_names(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(cls))

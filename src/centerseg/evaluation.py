@@ -14,7 +14,7 @@ scores are ignored).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,9 +58,8 @@ def _iou_matrix(det_masks: list[BinaryMask], gt_masks: list[BinaryMask]) -> np.n
 def _greedy_match(iou: np.ndarray, scores: np.ndarray, iou_thresh: float):
     """Greedy score-ordered matching given a detection x gt IoU matrix.
 
-    Returns (scores_ranked, tp_flags, matches) with matches as
-    (det_index, gt_index) pairs in original detection indices. Score
-    ties keep the original detection order; IoU ties go to the lowest
+    Returns (scores_ranked, tp_flags), both in rank order. Score ties
+    keep the original detection order; IoU ties go to the lowest
     ground-truth index; a zero-IoU pair never matches.
     """
     order = sorted(range(len(scores)), key=lambda i: -scores[i])
@@ -68,7 +67,6 @@ def _greedy_match(iou: np.ndarray, scores: np.ndarray, iou_thresh: float):
     taken = np.zeros(n_gt, dtype=bool)
     ranked = np.empty(len(scores))
     tp = np.zeros(len(scores), dtype=bool)
-    matches = []
     for rank, di in enumerate(order):
         ranked[rank] = scores[di]
         if n_gt:
@@ -77,14 +75,7 @@ def _greedy_match(iou: np.ndarray, scores: np.ndarray, iou_thresh: float):
             if row[gi] > 0.0 and row[gi] >= iou_thresh:
                 taken[gi] = True
                 tp[rank] = True
-                matches.append((di, gi))
-    return ranked, tp, matches
-
-
-def _match_frame(dets: list[Instance], gt_masks: list[BinaryMask], iou_thresh: float):
-    """Greedy score-ordered matching within one frame."""
-    iou = _iou_matrix([d.mask for d in dets], gt_masks)
-    return _greedy_match(iou, np.array([d.score for d in dets]), iou_thresh)
+    return ranked, tp
 
 
 def _ap_from_pool(scores: np.ndarray, tp: np.ndarray, n_gt: int) -> float:
@@ -111,7 +102,8 @@ def average_precision(
     dets: list[Instance], gts: list[BinaryMask], iou_thresh: float = 0.5
 ) -> float:
     """Single-pool AP of one detection list against one ground-truth list."""
-    scores, tp, _ = _match_frame(dets, gts, iou_thresh)
+    iou = _iou_matrix([d.mask for d in dets], gts)
+    scores, tp = _greedy_match(iou, np.array([d.score for d in dets]), iou_thresh)
     return _ap_from_pool(scores, tp, len(gts))
 
 
@@ -123,8 +115,6 @@ class APResult:
     per_threshold: dict[float, float]
     per_class: dict[str, float]
     map: float
-    # matches[(cls, thr)][frame] -> list of (det_index, gt_index) pairs
-    matches: dict[tuple[str, float], list[list[tuple[int, int]]]] = field(default_factory=dict)
 
 
 def map_eval(
@@ -149,7 +139,6 @@ def map_eval(
         return APResult({}, {}, {}, value)
 
     per_ct: dict[tuple[str, float], float] = {}
-    all_matches: dict[tuple[str, float], list[list[tuple[int, int]]]] = {}
     for cls in classes:
         cls_preds = [[d for d in frame if d.cls == cls] for frame in pred_frames]
         cls_gts = [[g.mask for g in frame if g.cls == cls] for frame in gt_frames]
@@ -162,16 +151,13 @@ def map_eval(
         for thr in thresholds:
             pooled_scores = []
             pooled_tp = []
-            frame_matches = []
             for iou, scores in tables:
-                ranked, tp, matches = _greedy_match(iou, scores, thr)
+                ranked, tp = _greedy_match(iou, scores, thr)
                 pooled_scores.append(ranked)
                 pooled_tp.append(tp)
-                frame_matches.append(matches)
             per_ct[(cls, thr)] = _ap_from_pool(
                 np.concatenate(pooled_scores), np.concatenate(pooled_tp), n_gt
             )
-            all_matches[(cls, thr)] = frame_matches
 
     per_threshold = {
         thr: float(np.mean([per_ct[(cls, thr)] for cls in classes])) for thr in thresholds
@@ -180,4 +166,4 @@ def map_eval(
         cls: float(np.mean([per_ct[(cls, thr)] for thr in thresholds])) for cls in classes
     }
     overall = float(np.mean(list(per_class.values())))
-    return APResult(per_ct, per_threshold, per_class, overall, all_matches)
+    return APResult(per_ct, per_threshold, per_class, overall)

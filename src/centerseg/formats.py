@@ -251,8 +251,9 @@ def counts_csv_dumps(counts: np.ndarray) -> str:
 _CONFIG_BOOL_KEYS = {"rc2m"}
 
 
-def _kv_parse(text: str, path) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _kv_parse(text: str, path) -> dict[str, tuple[str, int]]:
+    """``key -> (value, byte offset of its line)`` of a flat key=value file."""
+    out: dict[str, tuple[str, int]] = {}
     offset = 0
     for line in text.splitlines(keepends=True):
         stripped = line.strip()
@@ -260,17 +261,27 @@ def _kv_parse(text: str, path) -> dict[str, str]:
             if "=" not in stripped:
                 raise FormatError(path, offset, f"expected key=value, got {stripped!r}")
             key, value = stripped.split("=", 1)
-            out[key.strip()] = value.strip()
-        offset += len(line)
+            out[key.strip()] = (value.strip(), offset)
+        offset += len(line.encode())
     return out
 
 
-def _parse_bool(value: str, key: str, path) -> bool:
+def _kv_value(raw: dict[str, tuple[str, int]], key: str, parse, path):
+    """``parse(value)`` for ``key``; a value it rejects is a FormatError at
+    the byte offset of that key's line."""
+    value, offset = raw[key]
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise FormatError(path, offset, f"bad value for {key}: {exc}") from exc
+
+
+def _parse_bool(value: str) -> bool:
     if value in ("on", "true", "1"):
         return True
     if value in ("off", "false", "0"):
         return False
-    raise FormatError(path, 0, f"{key} must be on or off, got {value!r}")
+    raise ValueError(f"expected on or off, got {value!r}")
 
 
 def config_dumps(cfg: PipelineConfig) -> str:
@@ -292,15 +303,16 @@ def config_loads(text: str, path="<config>") -> PipelineConfig:
     if unknown:
         raise FormatError(path, 0, f"unknown config keys: {', '.join(unknown)}")
     kwargs = {}
-    for key, value in raw.items():
+    for key in raw:
         if key in _CONFIG_BOOL_KEYS:
-            kwargs[key] = _parse_bool(value, key, path)
+            parse = _parse_bool
         elif key in ("min_neighbors", "min_pts", "ms_max_iter", "seed"):
-            kwargs[key] = int(value)
+            parse = int
         elif key in ("filter_strategy", "algo"):
-            kwargs[key] = value
+            parse = str
         else:
-            kwargs[key] = float(value)
+            parse = float
+        kwargs[key] = _kv_value(raw, key, parse, path)
     try:
         return PipelineConfig(**kwargs)
     except ValueError as exc:
@@ -308,11 +320,7 @@ def config_loads(text: str, path="<config>") -> PipelineConfig:
 
 
 def read_config(path) -> PipelineConfig:
-    return config_loads(Path(path).read_text(), path)
-
-
-def write_config(path, cfg: PipelineConfig) -> None:
-    Path(path).write_text(config_dumps(cfg))
+    return config_loads(Path(path).read_bytes().decode(), path)
 
 
 # --- scene spec files -------------------------------------------------------
@@ -339,20 +347,21 @@ def scene_spec_loads(text: str, path="<scene>") -> SceneSpec:
         if required not in raw:
             raise FormatError(path, 0, f"missing scene key: {required}")
     vals: dict[str, object] = {}
-    for key, value in raw.items():
+    for key in raw:
         if key in _SCENE_INT_KEYS:
-            vals[key] = int(value)
+            parse = int
         elif key in _SCENE_BOOL_KEYS:
-            vals[key] = _parse_bool(value, key, path)
+            parse = _parse_bool
         else:
-            vals[key] = float(value)
+            parse = float
+        vals[key] = _kv_value(raw, key, parse, path)
 
     def pick(name, default):
         return vals.get(name, default)
 
-    dims = GridDims(vals["width"], vals["height"])
-    defaults = SceneSpec(dims=dims, n_piglets=0)
     try:
+        dims = GridDims(vals["width"], vals["height"])
+        defaults = SceneSpec(dims=dims, n_piglets=0)
         return SceneSpec(
             dims=dims,
             n_piglets=vals["n_piglets"],
@@ -381,4 +390,4 @@ def scene_spec_loads(text: str, path="<scene>") -> SceneSpec:
 
 
 def read_scene_spec(path) -> SceneSpec:
-    return scene_spec_loads(Path(path).read_text(), path)
+    return scene_spec_loads(Path(path).read_bytes().decode(), path)

@@ -119,10 +119,6 @@ class BinaryMask:
         r0, r1, c0, c1 = self.bbox
         return int(np.count_nonzero(self.pixels[r0:r1, c0:c1]))
 
-    def flat_indices(self) -> np.ndarray:
-        """Set pixels as ascending row-major flat indices."""
-        return np.flatnonzero(self.pixels.ravel())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BinaryMask):
             return NotImplemented
@@ -134,16 +130,10 @@ class BinaryMask:
 
 @dataclass(frozen=True, eq=False)
 class SemanticMap:
-    """Per-pixel class grid: 0 = background, 1 = piglet, 2 = sow.
-
-    ``probs`` optionally carries the per-pixel class probability vectors;
-    when present each pixel's probabilities must sum to 1 (within 1e-6)
-    and the argmax must agree with ``labels``.
-    """
+    """Per-pixel class grid: 0 = background, 1 = piglet, 2 = sow."""
 
     dims: GridDims
     labels: np.ndarray
-    probs: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         lab = np.asarray(self.labels, dtype=np.uint8)
@@ -152,15 +142,6 @@ class SemanticMap:
         if lab.size and lab.max() > SOW:
             raise ValueError("labels must be in {0, 1, 2}")
         object.__setattr__(self, "labels", _frozen(lab))
-        if self.probs is not None:
-            pr = np.asarray(self.probs, dtype=np.float64)
-            if pr.ndim != 3 or pr.shape[:2] != self.dims.shape:
-                raise ValueError("probs must be (rows, cols, nclasses)")
-            if not np.allclose(pr.sum(axis=-1), 1.0, atol=1e-6):
-                raise ValueError("probs must sum to 1 per pixel")
-            if not np.array_equal(np.argmax(pr, axis=-1).astype(np.uint8), lab):
-                raise ValueError("probs argmax must match labels")
-            object.__setattr__(self, "probs", _frozen(pr))
 
     def class_mask(self, label: int) -> BinaryMask:
         return BinaryMask(self.dims, self.labels == label)
@@ -168,11 +149,7 @@ class SemanticMap:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SemanticMap):
             return NotImplemented
-        if self.dims != other.dims or not np.array_equal(self.labels, other.labels):
-            return False
-        if (self.probs is None) != (other.probs is None):
-            return False
-        return self.probs is None or np.array_equal(self.probs, other.probs)
+        return self.dims == other.dims and np.array_equal(self.labels, other.labels)
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,6 @@ from .grids import (
     CLASS_SOW,
     SOW,
     BinaryMask,
-    DimensionMismatch,
     OffsetMap,
     SemanticMap,
 )
@@ -179,11 +178,6 @@ def segment_frame(
     """
     if config is None:
         config = PipelineConfig()
-    if semantic.dims != offsets.dims:
-        raise DimensionMismatch(
-            f"semantic {semantic.dims.width}x{semantic.dims.height} vs "
-            f"offsets {offsets.dims.width}x{offsets.dims.height}"
-        )
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
 

@@ -17,13 +17,12 @@ from centerseg import (
 from centerseg.grids import OffsetMap
 
 
-def cloud_from(dims, src, pos, groups=None, filtered=None):
+def cloud_from(dims, src, pos, filtered=None):
     n = len(src)
     return CenterCloud(
         dims=dims,
         source_pixels=np.asarray(src),
         positions=np.asarray(pos, dtype=np.float64),
-        groups=np.zeros(n, dtype=np.int64) if groups is None else np.asarray(groups),
         filtered=np.zeros(n, dtype=bool) if filtered is None else np.asarray(filtered),
     )
 
@@ -41,8 +40,8 @@ def test_masks_trace_source_pixels():
     labels = ClusterLabels(np.array([1, 1, 2]), 2)
     got = instances_from_labels(cloud, labels)
     assert [inst.mask.area for inst in got] == [2, 1]
-    assert list(got[0].mask.flat_indices()) == [0, 5]
-    assert list(got[1].mask.flat_indices()) == [10]
+    assert list(np.flatnonzero(got[0].mask.pixels)) == [0, 5]
+    assert list(np.flatnonzero(got[1].mask.pixels)) == [10]
     assert got[0].score == 1.0 and got[1].score == 0.5
     assert all(inst.cls == "piglet" for inst in got)
 

@@ -29,16 +29,16 @@ def test_zero_offsets_vote_own_pixel():
     sem, off = make_maps(dims, pix)
     cloud = generate_centers(sem, off)
     assert len(cloud) == 3
-    got = {(p.position[0], p.position[1]) for p in cloud}
+    got = {(x, y) for x, y in cloud.positions.tolist()}
     assert got == {(1.0, 1.0), (4.0, 2.0), (0.0, 4.0)}
-    assert all(p.group == 0 and not p.filtered for p in cloud)
+    assert not cloud.filtered.any()
 
 
 def test_offset_moves_vote():
     dims = GridDims(8, 8)
     sem, off = make_maps(dims, [(2, 1)], {(2, 1): (3.0, -1.0)})
     cloud = generate_centers(sem, off)
-    assert cloud.point(0).position == (5.0, 0.0)
+    assert cloud.positions[0].tolist() == [5.0, 0.0]
 
 
 def test_coincident_votes():
@@ -55,7 +55,7 @@ def test_votes_may_leave_grid():
     dims = GridDims(4, 4)
     sem, off = make_maps(dims, [(3, 3)], {(3, 3): (10.0, 10.0)})
     cloud = generate_centers(sem, off)
-    assert cloud.point(0).position == (13.0, 13.0)
+    assert cloud.positions[0].tolist() == [13.0, 13.0]
 
 
 def test_dims_mismatch_rejected():
@@ -130,7 +130,6 @@ def test_filter_matches_bruteforce():
         dims=dims,
         source_pixels=src,
         positions=pos,
-        groups=np.zeros(n, dtype=np.int64),
         filtered=np.zeros(n, dtype=bool),
     )
     radius, need = 5.0, 4

@@ -186,3 +186,35 @@ def test_eval_grid_mismatch_names_frame_and_files(tmp_path, capsys):
     assert "frame 1" in captured.err
     assert "pred.json" in captured.err and "gt.json" in captured.err
     assert "mAP" not in captured.out
+
+
+def test_bad_config_value_exit_2_names_file_and_offset(tmp_path, capsys):
+    for line in ("min_pts=abc", "eps=wide", "rc2m=maybe"):
+        cfg_path = tmp_path / "pipe.cfg"
+        # CRLF lines and a two-byte character: the offset counts bytes
+        cfg_path.write_bytes(f"# réglé\r\neps=2.0\r\n{line}\r\n".encode())
+        code = main([
+            "segment", str(tmp_path / "a.ccsm"), str(tmp_path / "a.ccof"),
+            "--out", str(tmp_path / "o.json"), "--config", str(cfg_path),
+        ])
+        assert code == 2, line
+        assert f"{cfg_path}: byte 20:" in capsys.readouterr().err, line
+
+
+def test_bad_scene_value_exit_2_names_file_and_offset(tmp_path, capsys):
+    scene = tmp_path / "scene.cfg"
+    scene.write_text("width=10\nheight=x\nn_piglets=1\n")
+    assert main(["synth", str(scene), "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"{scene}: byte 9:" in capsys.readouterr().err
+
+
+def test_batch_names_the_failing_frame(tmp_path, capsys):
+    for name, off_dims in (("a", GridDims(16, 16)), ("b", GridDims(17, 16))):
+        sem_dims = GridDims(16, 16)
+        write_semantic(tmp_path / f"{name}.ccsm", SemanticMap(sem_dims, np.zeros(sem_dims.shape, dtype=np.uint8)))
+        write_offsets(tmp_path / f"{name}.ccof", OffsetMap(off_dims, np.zeros((*off_dims.shape, 2), dtype=np.float32)))
+    code = main(["segment", "--batch-dir", str(tmp_path), "--jobs", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'b.ccsm'}: " in err
+    assert "a.ccsm" not in err

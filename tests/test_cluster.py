@@ -332,7 +332,6 @@ def test_huge_finite_coordinates():
             dims=GridDims(n, 1),
             source_pixels=np.arange(n),
             positions=pts,
-            groups=np.zeros(n, dtype=np.int64),
             filtered=np.zeros(n, dtype=bool),
         )
         flagged = filter_centers(cloud, radius_t=20.0, min_neighbors=10).filtered
