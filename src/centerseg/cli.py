@@ -27,7 +27,7 @@ from .evaluation import map_eval
 from .grids import DimensionMismatch, GridDims
 from .instances import FrameResult, segment_frame
 from .losses import run_gradient_checks
-from .synth import SceneSpec, gen_sequence, gt_instances, perturb
+from .synth import SceneGenerationError, SceneSpec, gen_sequence, gt_instances, perturb
 from .tracking import TrackState, heatmap, track_metrics, update_tracks
 
 
@@ -216,7 +216,11 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     spec = formats.read_scene_spec(args.scene)
-    frames = gen_sequence(spec, args.frames)
+    try:
+        frames = gen_sequence(spec, args.frames)
+    except SceneGenerationError as exc:
+        print(f"error: {args.scene}: {exc}", file=sys.stderr)
+        return 1
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     for frame in frames:

@@ -37,27 +37,29 @@ class PipelineConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.t <= 0:
+        """Raise ValueError for the first value out of range. Each bound is
+        written so that NaN fails it too."""
+        if not self.t > 0:
             raise ValueError("t must be > 0")
-        if self.min_neighbors < 0:
+        if not self.min_neighbors >= 0:
             raise ValueError("min_neighbors must be >= 0")
         if self.filter_strategy not in FILTER_STRATEGIES:
             raise ValueError(f"filter_strategy must be one of {FILTER_STRATEGIES}")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError("eps must be > 0")
-        if self.min_pts < 1:
+        if not self.min_pts >= 1:
             raise ValueError("min_pts must be >= 1")
         if self.algo not in ALGORITHMS:
             raise ValueError(f"algo must be one of {ALGORITHMS}")
-        if self.bandwidth <= 0:
+        if not self.bandwidth > 0:
             raise ValueError("bandwidth must be > 0")
-        if self.ms_max_iter < 1:
+        if not self.ms_max_iter >= 1:
             raise ValueError("ms_max_iter must be >= 1")
-        if self.shift_tol <= 0:
+        if not self.shift_tol > 0:
             raise ValueError("shift_tol must be > 0")
-        if self.merge_radius is not None and self.merge_radius <= 0:
+        if self.merge_radius is not None and not self.merge_radius > 0:
             raise ValueError("merge_radius must be > 0 when set")
-        if self.min_iou < 0:
+        if not self.min_iou >= 0:
             raise ValueError("min_iou must be >= 0")
-        if self.fps <= 0:
+        if not self.fps > 0:
             raise ValueError("fps must be > 0")

@@ -184,15 +184,26 @@ def rle_encode(mask: BinaryMask) -> list[int]:
     (zero if the first pixel is set); they sum to width * height. Runs
     spanning a row boundary are merged, so the encoding is canonical:
     only the leading count may be zero.
+
+    Only the rows of the cached ``bbox`` are scanned: the rows above it
+    join the leading unset run and the rows below it the trailing one.
     """
-    flat = mask.pixels.ravel()
-    n = flat.size
-    boundaries = np.flatnonzero(np.diff(flat)) + 1
-    starts = np.concatenate(([0], boundaries, [n]))
+    r0, r1, _, _ = mask.bbox
+    if r0 == r1:
+        return [mask.dims.npixels]
+    width = mask.dims.width
+    band = mask.pixels[r0:r1].ravel()
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(band)) + 1, [band.size]))
     counts = np.diff(starts).tolist()
-    if flat[0]:
+    if band[0]:
         counts.insert(0, 0)
-    return [int(c) for c in counts]
+    counts[0] += r0 * width
+    below = (mask.dims.height - r1) * width
+    if not band[-1]:
+        counts[-1] += below
+    elif below:
+        counts.append(below)
+    return counts
 
 
 def rle_decode(counts, dims: GridDims) -> BinaryMask:

@@ -10,7 +10,7 @@ dropped; it never changes the clustering itself, only the masks.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,27 +73,43 @@ def _check_alignment(cloud: CenterCloud, labels: ClusterLabels) -> None:
 
 
 def _group_members(labels: ClusterLabels) -> list[np.ndarray]:
-    """Vote indices of groups 1..n_groups, each ascending, from one stable sort."""
-    order = np.argsort(labels.labels, kind="stable")
-    cuts = np.searchsorted(labels.labels[order], np.arange(1, labels.n_groups + 1))
-    return np.split(order, cuts)[1:]
+    """Vote indices of groups 1..n_groups, each ascending, from one stable
+    sort of the grouped votes (group 0 is left out of the sort)."""
+    if labels.n_groups == 0:
+        return []
+    grouped = np.flatnonzero(labels.labels)
+    order = grouped[np.argsort(labels.labels[grouped], kind="stable")]
+    cuts = np.searchsorted(labels.labels[order], np.arange(2, labels.n_groups + 1))
+    return np.split(order, cuts)
 
 
-def instances_from_labels(cloud: CenterCloud, labels: ClusterLabels) -> list[Instance]:
+def instances_from_labels(
+    cloud: CenterCloud, labels: ClusterLabels, mask_labels: ClusterLabels | None = None
+) -> list[Instance]:
     """One piglet instance per group, tracing votes back to source pixels.
 
     The instance mask holds exactly the source pixels of the group's
     votes; the predicted center is the mean vote position; confidence is
-    the group size divided by the largest group size in the frame.
+    the group size divided by the largest group size in the frame. With
+    ``mask_labels`` (the same groups after :func:`reassign_unlabeled`)
+    the masks are traced from those labels instead, while centers and
+    confidences still come from ``labels``.
     """
     _check_alignment(cloud, labels)
     members = _group_members(labels)
     if not members:
         return []
+    if mask_labels is None or mask_labels is labels:
+        traced = members
+    else:
+        _check_alignment(cloud, mask_labels)
+        if mask_labels.n_groups != labels.n_groups:
+            raise ValueError(f"{mask_labels.n_groups} mask groups for {labels.n_groups} groups")
+        traced = _group_members(mask_labels)
     largest = max(idx.size for idx in members)
     out = []
-    for idx in members:
-        mask = BinaryMask.from_flat_indices(cloud.dims, cloud.source_pixels[idx])
+    for idx, pixels in zip(members, traced):
+        mask = BinaryMask.from_flat_indices(cloud.dims, cloud.source_pixels[pixels])
         center = cloud.positions[idx].mean(axis=0)
         score = min(1.0, idx.size / largest)
         out.append(
@@ -107,6 +123,12 @@ def instances_from_labels(cloud: CenterCloud, labels: ClusterLabels) -> list[Ins
     return out
 
 
+# Group-0 votes per block of the nearest-centroid pass. The block's
+# buffers (about 50 bytes a vote) stay in cache, and the pass holds
+# O(block) temporaries whatever the number of votes and groups.
+_REASSIGN_BLOCK = 1 << 13
+
+
 def reassign_unlabeled(cloud: CenterCloud, labels: ClusterLabels) -> ClusterLabels:
     """Give every group-0 vote the group of the nearest cluster centroid.
 
@@ -115,6 +137,11 @@ def reassign_unlabeled(cloud: CenterCloud, labels: ClusterLabels) -> ClusterLabe
     iteration). Ties go to the lowest group id. With no groups the
     labels are returned unchanged. Running this twice equals running it
     once: after one pass no group-0 votes remain.
+
+    The group-0 votes go in blocks of ``_REASSIGN_BLOCK``; each block
+    keeps a running minimum of the squared distance ``dx*dx + dy*dy``
+    over the centroids in group order, and a group replaces the best so
+    far only when strictly closer, so ties stay with the lowest id.
     """
     _check_alignment(cloud, labels)
     if labels.n_groups == 0:
@@ -122,14 +149,32 @@ def reassign_unlabeled(cloud: CenterCloud, labels: ClusterLabels) -> ClusterLabe
     zero = np.flatnonzero(labels.labels == 0)
     if zero.size == 0:
         return labels
-    centroids = np.stack(
-        [cloud.positions[idx].mean(axis=0) for idx in _group_members(labels)]
+    centroids = [
+        cloud.positions[idx].mean(axis=0).tolist() for idx in _group_members(labels)
+    ]
+    xs, ys = cloud.positions[:, 0], cloud.positions[:, 1]
+    size = min(_REASSIGN_BLOCK, zero.size)
+    buffers = (
+        np.empty(size), np.empty(size), np.empty(size),
+        np.empty(size, dtype=bool), np.empty(size, dtype=np.int64),
     )
-    dx = cloud.positions[zero, 0][:, None] - centroids[None, :, 0]
-    dy = cloud.positions[zero, 1][:, None] - centroids[None, :, 1]
-    nearest = np.argmin(dx * dx + dy * dy, axis=1) + 1
     new = labels.labels.copy()
-    new[zero] = nearest
+    for start in range(0, zero.size, size):
+        idx = zero[start : start + size]
+        x, y = xs[idx], ys[idx]
+        d, dy2, best, closer, nearest = (buf[: idx.size] for buf in buffers)
+        best.fill(np.inf)
+        nearest.fill(1)
+        for group, (cx, cy) in enumerate(centroids, start=1):
+            np.subtract(x, cx, out=d)
+            np.multiply(d, d, out=d)
+            np.subtract(y, cy, out=dy2)
+            np.multiply(dy2, dy2, out=dy2)
+            np.add(d, dy2, out=d)
+            np.less(d, best, out=closer)
+            np.copyto(best, d, where=closer)
+            np.copyto(nearest, group, where=closer)
+        new[idx] = nearest
     return ClusterLabels(new, labels.n_groups)
 
 
@@ -171,10 +216,11 @@ def segment_frame(
     """Run the whole per-frame pipeline.
 
     Stages: vote generation, outlier filter, clustering of the retained
-    votes, mask assembly, optional residual reassignment (``rc2m``), and
-    the sow instance. Predicted centers and confidences always come from
-    the clustered groups, before reassignment adds the outlier votes
-    back in. Per-stage wall times are recorded in the result.
+    votes, optional residual reassignment (``rc2m``), mask assembly, and
+    the sow instance. Each mask is traced once, from the labels after
+    reassignment; predicted centers and confidences always come from the
+    clustered groups, before reassignment adds the outlier votes back
+    in. Per-stage wall times are recorded in the result.
     """
     if config is None:
         config = PipelineConfig()
@@ -203,17 +249,15 @@ def segment_frame(
     timings["cluster"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    instances = instances_from_labels(cloud, labels)
-    timings["assemble"] = time.perf_counter() - t0
+    traced = labels
+    if config.rc2m and labels.n_groups >= 1:
+        traced = reassign_unlabeled(cloud, labels)
+    timings["reassign"] = time.perf_counter() - t0
+    unassigned = int(np.count_nonzero(traced.labels == 0))
 
     t0 = time.perf_counter()
-    if config.rc2m and labels.n_groups >= 1:
-        labels = reassign_unlabeled(cloud, labels)
-        for m, idx in enumerate(_group_members(labels)):
-            mask = BinaryMask.from_flat_indices(cloud.dims, cloud.source_pixels[idx])
-            instances[m] = replace(instances[m], mask=mask)
-    timings["reassign"] = time.perf_counter() - t0
-    unassigned = int(np.count_nonzero(labels.labels == 0))
+    instances = instances_from_labels(cloud, labels, traced)
+    timings["assemble"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     sow = sow_instance(semantic)

@@ -1,7 +1,11 @@
 """Mask assembly: group tracing, sow instance, residual reassignment."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centerseg import (
     CenterCloud,
@@ -14,6 +18,7 @@ from centerseg import (
     segment_frame,
     sow_instance,
 )
+from centerseg import instances as instances_module
 from centerseg.grids import OffsetMap
 
 
@@ -134,6 +139,98 @@ def test_reassign_idempotent():
     twice = reassign_unlabeled(cloud_from(dims, src, pos), once)
     assert once == twice
     assert not np.any(once.labels == 0)
+
+
+def dense_reassign(cloud, labels):
+    """Oracle: the full (votes x groups) distance table and its row argmin."""
+    new = labels.labels.copy()
+    zero = np.flatnonzero(new == 0)
+    if labels.n_groups == 0 or zero.size == 0:
+        return new
+    centroids = np.stack(
+        [cloud.positions[labels.labels == g].mean(axis=0) for g in range(1, labels.n_groups + 1)]
+    )
+    dx = cloud.positions[zero, 0][:, None] - centroids[None, :, 0]
+    dy = cloud.positions[zero, 1][:, None] - centroids[None, :, 1]
+    new[zero] = np.argmin(dx * dx + dy * dy, axis=1) + 1
+    return new
+
+
+def check_reassign_against_dense(pos, raw, n_groups, block):
+    dims = GridDims(len(raw), 1)
+    cloud = cloud_from(dims, np.arange(len(raw)), pos)
+    labels = ClusterLabels(np.asarray(raw, dtype=np.int64), n_groups)
+    with mock.patch.object(instances_module, "_REASSIGN_BLOCK", block):
+        got = reassign_unlabeled(cloud, labels)
+    assert got.n_groups == n_groups
+    assert np.array_equal(got.labels, dense_reassign(cloud, labels))
+
+
+# small integers make equidistant and coincident centroids common
+COORD = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.sampled_from([-3e38, 3e38, -2.9e38, 2.9e38]),
+    st.floats(-3e38, 3e38, allow_nan=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    n_groups=st.integers(1, 5),
+    n_zero=st.integers(1, 30),
+    block=st.sampled_from([1, 2, 3, 5, 1 << 13]),
+)
+def test_reassign_matches_dense_argmin(data, n_groups, n_zero, block):
+    extra = data.draw(st.lists(st.integers(1, n_groups), max_size=12))
+    raw = data.draw(st.permutations(list(range(1, n_groups + 1)) + extra + [0] * n_zero))
+    pos = data.draw(st.lists(st.tuples(COORD, COORD), min_size=len(raw), max_size=len(raw)))
+    check_reassign_against_dense(pos, raw, n_groups, block)
+
+
+@pytest.mark.parametrize(
+    "pos, raw, n_groups, expected",
+    [
+        # equidistant from both centroids: the lower id wins
+        ([(0, 0), (10, 0), (5, 0), (5, 3)], [2, 1, 0, 0], 2, [2, 1, 1, 1]),
+        # coincident centroids: every vote goes to group 1
+        ([(4, 4), (4, 4), (0, 0), (9, 9)], [3, 2, 1, 0], 3, [3, 2, 1, 2]),
+        # one group takes every vote
+        ([(0, 0), (1e38, -1e38), (-3e38, 3e38)], [0, 1, 0], 1, [1, 1, 1]),
+        # far votes at +-3e38 pick the centroid on their own side
+        ([(-3e38, 0), (3e38, 0), (-2e38, 1), (2e38, -1)], [1, 2, 0, 0], 2, [1, 2, 1, 2]),
+    ],
+    ids=["equidistant", "coincident", "one-group", "far"],
+)
+def test_reassign_edge_cases(pos, raw, n_groups, expected):
+    for block in (1, 2, 1 << 13):
+        check_reassign_against_dense(pos, raw, n_groups, block)
+    cloud = cloud_from(GridDims(len(raw), 1), np.arange(len(raw)), pos)
+    got = reassign_unlabeled(cloud, ClusterLabels(np.asarray(raw, dtype=np.int64), n_groups))
+    assert list(got.labels) == expected
+
+
+def test_reassign_more_votes_than_block():
+    rng = np.random.default_rng(11)
+    n = 5000
+    pos = rng.uniform(-50, 50, (n, 2)).round()
+    raw = rng.integers(0, 7, n)
+    raw[:6] = np.arange(1, 7)
+    for block in (1, 7, 64, 4999, 5000, 1 << 13):
+        check_reassign_against_dense(pos, raw, 6, block)
+
+
+def test_masks_from_reassigned_labels_keep_clustered_centers():
+    dims = GridDims(4, 4)
+    cloud = cloud_from(dims, [0, 5, 10, 15], [[1, 1], [1, 1], [3, 3], [3, 2]])
+    labels = ClusterLabels(np.array([1, 1, 2, 0]), 2)
+    traced = reassign_unlabeled(cloud, labels)
+    got = instances_from_labels(cloud, labels, traced)
+    assert [list(np.flatnonzero(inst.mask.pixels)) for inst in got] == [[0, 5], [10, 15]]
+    assert [inst.predicted_center for inst in got] == [(1.0, 1.0), (3.0, 3.0)]
+    assert [inst.score for inst in got] == [1.0, 0.5]
+    with pytest.raises(ValueError, match="mask groups"):
+        instances_from_labels(cloud, labels, ClusterLabels(np.array([1, 1, 1, 1]), 1))
 
 
 def blank_frame(dims):

@@ -218,3 +218,27 @@ def test_batch_names_the_failing_frame(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{tmp_path / 'b.ccsm'}: " in err
     assert "a.ccsm" not in err
+
+
+def test_unplaceable_scene_exit_1_names_file(tmp_path, capsys):
+    scene = tmp_path / "tiny.cfg"
+    scene.write_text("width=64\nheight=48\nn_piglets=2\n")  # the default sow does not fit
+    assert main(["synth", str(scene), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {scene}: ")
+    assert "Traceback" not in err
+
+
+def test_nan_config_values_fail_before_any_frame_is_read(tmp_path, capsys):
+    # the maps do not exist: a bound checked only later would fail on them
+    segment = ["segment", str(tmp_path / "a.ccsm"), str(tmp_path / "a.ccof"), "--out", str(tmp_path / "o.json")]
+    for flag in ("--eps", "--t", "--bandwidth", "--fps", "--min-iou"):
+        for value in ("nan", "-1"):
+            assert main([*segment, flag, value]) == 1, (flag, value)
+            name = flag[2:].replace("-", "_")
+            assert f"error: {name} must be " in capsys.readouterr().err, (flag, value)
+    for key in ("eps", "t", "shift_tol", "merge_radius"):
+        cfg_path = tmp_path / "pipe.cfg"
+        cfg_path.write_text(f"{key}=nan\n")
+        assert main([*segment, "--config", str(cfg_path)]) == 2, key
+        assert f"{cfg_path}: byte 0: {key} must be > 0" in capsys.readouterr().err, key

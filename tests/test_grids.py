@@ -55,6 +55,30 @@ def test_rle_encode_examples():
     assert rle_encode(BinaryMask.full(dims)) == [0, 4]
 
 
+def banded_edge_masks():
+    """Masks whose set rows start or end mid-frame, at a row's first or last column."""
+    dims = GridDims(5, 4)
+    yield "first set pixel at column 0 below the first row", BinaryMask.from_flat_indices(dims, [10, 11, 17])
+    yield "last set pixel at the last column above the last row", BinaryMask.from_flat_indices(dims, [6, 7, 14])
+    yield "first flat pixel alone", BinaryMask.from_flat_indices(dims, [0])
+    yield "last flat pixel alone", BinaryMask.from_flat_indices(dims, [19])
+    yield "first and last flat pixels", BinaryMask.from_flat_indices(dims, [0, 19])
+    yield "one full middle row", BinaryMask.from_flat_indices(dims, range(5, 10))
+    yield "empty", BinaryMask.empty(dims)
+    yield "full", BinaryMask.full(dims)
+    yield "one pixel frame, set", BinaryMask.full(GridDims(1, 1))
+    yield "one pixel frame, unset", BinaryMask.empty(GridDims(1, 1))
+    yield "one column", BinaryMask.from_flat_indices(GridDims(1, 6), [2, 3])
+    yield "one row", BinaryMask.from_flat_indices(GridDims(6, 1), [0, 5])
+
+
+@pytest.mark.parametrize("name, mask", list(banded_edge_masks()))
+def test_rle_encode_band_edges(name, mask):
+    counts = rle_encode(mask)
+    assert counts == runs_by_scanning(mask.pixels.ravel()), name
+    assert rle_decode(counts, mask.dims) == mask, name
+
+
 def test_rle_decode_examples():
     assert rle_decode([9], GridDims(3, 3)) == BinaryMask.empty(GridDims(3, 3))
     assert rle_decode([0, 4], GridDims(2, 2)) == BinaryMask.full(GridDims(2, 2))
