@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,10 @@ from .synth import SceneGenerationError, SceneSpec, gen_sequence, gt_instances, 
 from .tracking import TrackState, heatmap, track_metrics, update_tracks
 
 
+class UsageError(Exception):
+    """Bad command-line arguments; ``main`` exits 2 with the message."""
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("pipeline config")
     group.add_argument("--config", type=Path, help="key=value config file")
@@ -39,7 +44,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--filter-strategy", choices=FILTER_STRATEGIES, dest="filter_strategy")
     group.add_argument("--eps", type=float, help="clustering radius, px")
     group.add_argument("--min-pts", type=int, dest="min_pts")
-    group.add_argument("--rc2m", choices=("on", "off"), help="residual vote reassignment")
+    group.add_argument("--rc2m", type=formats.parse_bool, metavar="on|off", help="residual vote reassignment")
     group.add_argument("--algo", choices=ALGORITHMS)
     group.add_argument("--bandwidth", type=float)
     group.add_argument("--min-iou", type=float, dest="min_iou")
@@ -49,16 +54,14 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
     cfg = formats.read_config(args.config) if args.config else PipelineConfig()
-    for key in (
-        "t", "min_neighbors", "filter_strategy", "eps", "min_pts",
-        "algo", "bandwidth", "min_iou", "fps", "seed",
-    ):
-        value = getattr(args, key, None)
+    for f in fields(PipelineConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(cfg, key, value)
-    if getattr(args, "rc2m", None) is not None:
-        cfg.rc2m = args.rc2m == "on"
-    cfg.validate()
+            setattr(cfg, f.name, value)
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     return cfg
 
 
@@ -78,14 +81,12 @@ def _cmd_segment(args: argparse.Namespace) -> int:
     if args.batch_dir:
         sem_files = sorted(args.batch_dir.glob("*.ccsm"))
         if not sem_files:
-            print(f"no .ccsm files in {args.batch_dir}", file=sys.stderr)
-            return 2
+            raise UsageError(f"no .ccsm files in {args.batch_dir}")
         jobs = []
         for i, sem in enumerate(sem_files):
             off = sem.with_suffix(".ccof")
             if not off.exists():
-                print(f"missing offset file for {sem}", file=sys.stderr)
-                return 2
+                raise UsageError(f"missing offset file for {sem}")
             jobs.append((sem, off, sem.with_suffix(".json"), i))
         workers = max(1, args.jobs) if args.jobs else min(8, os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -96,8 +97,7 @@ def _cmd_segment(args: argparse.Namespace) -> int:
         return 0
 
     if not (args.semantic and args.offsets and args.out):
-        print("segment needs SEMANTIC OFFSETS --out OUT (or --batch-dir)", file=sys.stderr)
-        return 2
+        raise UsageError("segment needs SEMANTIC OFFSETS --out OUT (or --batch-dir)")
     timing = run_one(args.semantic, args.offsets, args.out, args.frame_id)
     if args.timings:
         args.timings.write_text(json.dumps(timing, sort_keys=True) + "\n")
@@ -107,14 +107,10 @@ def _cmd_segment(args: argparse.Namespace) -> int:
 
 def _cmd_track(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    if not args.manifests:
-        print("no frames", file=sys.stderr)
-        return 2
     frames = []
     for i, path in enumerate(args.manifests):
         if not path.exists():
-            print(f"frame {i}: missing manifest {path}", file=sys.stderr)
-            return 2
+            raise UsageError(f"frame {i}: missing manifest {path}")
         frames.append(formats.read_manifest(path))
     dims = frames[0][1]
     state = TrackState(dims=dims, fps=cfg.fps, min_iou=cfg.min_iou)
@@ -139,8 +135,7 @@ def _cmd_track(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     if len(args.pred) != len(args.gt):
-        print(f"{len(args.pred)} prediction frames vs {len(args.gt)} ground-truth frames", file=sys.stderr)
-        return 2
+        raise UsageError(f"{len(args.pred)} prediction frames vs {len(args.gt)} ground-truth frames")
 
     preds, gts = [], []
     for i, (pred_path, gt_path) in enumerate(zip(args.pred, args.gt)):
@@ -219,8 +214,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     try:
         frames = gen_sequence(spec, args.frames)
     except SceneGenerationError as exc:
-        print(f"error: {args.scene}: {exc}", file=sys.stderr)
-        return 1
+        raise SceneGenerationError(f"{args.scene}: {exc}") from exc
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     for frame in frames:
@@ -291,10 +285,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (formats.FormatError, DimensionMismatch) as exc:
+    except (formats.FormatError, DimensionMismatch, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, SceneGenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -47,8 +47,7 @@ class ClusterLabels:
         if lab.size:
             if lab.min() < 0 or lab.max() > self.n_groups:
                 raise ValueError("labels must lie in [0, n_groups]")
-            present = np.unique(lab[lab > 0])
-            if present.size != self.n_groups:
+            if not np.bincount(lab, minlength=self.n_groups + 1)[1:].all():
                 raise ValueError("every group in 1..n_groups must be non-empty")
         elif self.n_groups != 0:
             raise ValueError("empty label list cannot have groups")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,9 @@ class FormatError(ValueError):
         super().__init__(f"{self.path}: byte {offset}: {message}")
 
 
-def _parse_header(data: bytes, magic: bytes, path) -> GridDims:
+def _parse_header(data: bytes, magic: bytes, bytes_per_pixel: int, path) -> GridDims:
+    """Dimensions from the header, after checking that the payload holds
+    exactly ``bytes_per_pixel`` bytes per pixel."""
     if data[:4] != magic:
         raise FormatError(path, 0, f"bad magic {data[:4]!r}, expected {magic!r}")
     if len(data) < 5:
@@ -60,7 +62,14 @@ def _parse_header(data: bytes, magic: bytes, path) -> GridDims:
     width, height = _HEADER.unpack_from(data, 5)
     if width < 1 or height < 1:
         raise FormatError(path, 5, f"bad dimensions {width}x{height}")
-    return GridDims(width, height)
+    dims = GridDims(width, height)
+    expected = 13 + dims.npixels * bytes_per_pixel
+    if len(data) != expected:
+        raise FormatError(
+            path, min(len(data), expected),
+            f"payload is {len(data) - 13} bytes, expected {dims.npixels * bytes_per_pixel}",
+        )
+    return dims
 
 
 def semantic_to_bytes(sm: SemanticMap) -> bytes:
@@ -69,10 +78,7 @@ def semantic_to_bytes(sm: SemanticMap) -> bytes:
 
 
 def semantic_from_bytes(data: bytes, path="<memory>") -> SemanticMap:
-    dims = _parse_header(data, SEMANTIC_MAGIC, path)
-    expected = 13 + dims.npixels
-    if len(data) != expected:
-        raise FormatError(path, min(len(data), expected), f"payload is {len(data) - 13} bytes, expected {dims.npixels}")
+    dims = _parse_header(data, SEMANTIC_MAGIC, 1, path)
     labels = np.frombuffer(data, dtype="|u1", offset=13).reshape(dims.shape)
     if labels.max(initial=0) > 2:
         bad = 13 + int(np.argmax(labels.ravel() > 2))
@@ -86,13 +92,7 @@ def offsets_to_bytes(om: OffsetMap) -> bytes:
 
 
 def offsets_from_bytes(data: bytes, path="<memory>") -> OffsetMap:
-    dims = _parse_header(data, OFFSET_MAGIC, path)
-    expected = 13 + dims.npixels * 8
-    if len(data) != expected:
-        raise FormatError(
-            path, min(len(data), expected),
-            f"payload is {len(data) - 13} bytes, expected {dims.npixels * 8}",
-        )
+    dims = _parse_header(data, OFFSET_MAGIC, 8, path)
     vec = np.frombuffer(data, dtype="<f4", offset=13).reshape(*dims.shape, 2)
     if not np.all(np.isfinite(vec)):
         raise FormatError(path, 13, "non-finite offset component")
@@ -246,14 +246,28 @@ def counts_csv_dumps(counts: np.ndarray) -> str:
     return "\n".join([zero_row] * r0 + inner + [zero_row] * (h - r1)) + "\n"
 
 
-# --- flat key=value config files -------------------------------------------
-
-_CONFIG_BOOL_KEYS = {"rc2m"}
+# --- flat key=value files: pipeline configs -------------------------------
 
 
-def _kv_parse(text: str, path) -> dict[str, tuple[str, int]]:
-    """``key -> (value, byte offset of its line)`` of a flat key=value file."""
-    out: dict[str, tuple[str, int]] = {}
+def parse_bool(value: str) -> bool:
+    """``on/true/1`` or ``off/false/0``; anything else is a ValueError."""
+    if value in ("on", "true", "1"):
+        return True
+    if value in ("off", "false", "0"):
+        return False
+    raise ValueError(f"expected on or off, got {value!r}")
+
+
+def _kv_load(text: str, path, kind: str, defaults: dict[str, object], required=()) -> dict[str, object]:
+    """The keys a flat key=value file sets, each value parsed as the type of
+    its key's default in ``defaults``: bool, int and str as themselves,
+    anything else (``None`` included) as float.
+
+    Keys outside ``defaults`` and missing ``required`` keys are
+    FormatErrors at byte 0; a line that is not key=value, or a value its
+    parser rejects, is one at the byte offset of its line.
+    """
+    raw: dict[str, tuple[str, int]] = {}
     offset = 0
     for line in text.splitlines(keepends=True):
         stripped = line.strip()
@@ -261,27 +275,28 @@ def _kv_parse(text: str, path) -> dict[str, tuple[str, int]]:
             if "=" not in stripped:
                 raise FormatError(path, offset, f"expected key=value, got {stripped!r}")
             key, value = stripped.split("=", 1)
-            out[key.strip()] = (value.strip(), offset)
+            raw[key.strip()] = (value.strip(), offset)
         offset += len(line.encode())
+    unknown = sorted(set(raw) - set(defaults))
+    if unknown:
+        raise FormatError(path, 0, f"unknown {kind} keys: {', '.join(unknown)}")
+    for key in required:
+        if key not in raw:
+            raise FormatError(path, 0, f"missing {kind} key: {key}")
+    out = {}
+    for key, (value, offset) in raw.items():
+        default = defaults[key]
+        if isinstance(default, bool):
+            parse = parse_bool
+        elif isinstance(default, (int, str)):
+            parse = type(default)
+        else:
+            parse = float
+        try:
+            out[key] = parse(value)
+        except ValueError as exc:
+            raise FormatError(path, offset, f"bad value for {key}: {exc}") from exc
     return out
-
-
-def _kv_value(raw: dict[str, tuple[str, int]], key: str, parse, path):
-    """``parse(value)`` for ``key``; a value it rejects is a FormatError at
-    the byte offset of that key's line."""
-    value, offset = raw[key]
-    try:
-        return parse(value)
-    except ValueError as exc:
-        raise FormatError(path, offset, f"bad value for {key}: {exc}") from exc
-
-
-def _parse_bool(value: str) -> bool:
-    if value in ("on", "true", "1"):
-        return True
-    if value in ("off", "false", "0"):
-        return False
-    raise ValueError(f"expected on or off, got {value!r}")
 
 
 def config_dumps(cfg: PipelineConfig) -> str:
@@ -290,29 +305,14 @@ def config_dumps(cfg: PipelineConfig) -> str:
         value = getattr(cfg, f.name)
         if value is None:
             continue
-        if f.name in _CONFIG_BOOL_KEYS:
+        if isinstance(value, bool):
             value = "on" if value else "off"
         lines.append(f"{f.name}={value}")
     return "\n".join(lines) + "\n"
 
 
 def config_loads(text: str, path="<config>") -> PipelineConfig:
-    raw = _kv_parse(text, path)
-    known = {f.name: f for f in fields(PipelineConfig)}
-    unknown = sorted(set(raw) - set(known))
-    if unknown:
-        raise FormatError(path, 0, f"unknown config keys: {', '.join(unknown)}")
-    kwargs = {}
-    for key in raw:
-        if key in _CONFIG_BOOL_KEYS:
-            parse = _parse_bool
-        elif key in ("min_neighbors", "min_pts", "ms_max_iter", "seed"):
-            parse = int
-        elif key in ("filter_strategy", "algo"):
-            parse = str
-        else:
-            parse = float
-        kwargs[key] = _kv_value(raw, key, parse, path)
+    kwargs = _kv_load(text, path, "config", asdict(PipelineConfig()))
     try:
         return PipelineConfig(**kwargs)
     except ValueError as exc:
@@ -325,65 +325,33 @@ def read_config(path) -> PipelineConfig:
 
 # --- scene spec files -------------------------------------------------------
 
-_SCENE_INT_KEYS = {
-    "width", "height", "n_piglets", "seed", "n_random_occluders",
-    "min_visible_area", "sow_min_visible_area",
-}
-_SCENE_FLOAT_KEYS = {
-    "piglet_a_min", "piglet_a_max", "piglet_b_min", "piglet_b_max",
-    "sow_half_length", "sow_radius", "occluder_width_min", "occluder_width_max",
-    "max_speed", "min_center_separation", "flip_rate", "offset_sigma",
-}
-_SCENE_BOOL_KEYS = {"sow"}
+# What a scene file may set besides width and height: SceneSpec fields,
+# the SceneSpec (min, max) ranges as <name>_min and <name>_max, and the
+# NoiseModel fields.
+_SCENE_SCALARS = (
+    "n_piglets", "seed", "sow", "sow_half_length", "sow_radius", "sow_min_visible_area",
+    "n_random_occluders", "max_speed", "min_visible_area", "min_center_separation",
+)
+_SCENE_RANGES = ("piglet_a", "piglet_b", "occluder_width")
+_SCENE_NOISE = ("flip_rate", "offset_sigma")
 
 
 def scene_spec_loads(text: str, path="<scene>") -> SceneSpec:
-    raw = _kv_parse(text, path)
-    allowed = _SCENE_INT_KEYS | _SCENE_FLOAT_KEYS | _SCENE_BOOL_KEYS
-    unknown = sorted(set(raw) - allowed)
-    if unknown:
-        raise FormatError(path, 0, f"unknown scene keys: {', '.join(unknown)}")
-    for required in ("width", "height", "n_piglets"):
-        if required not in raw:
-            raise FormatError(path, 0, f"missing scene key: {required}")
-    vals: dict[str, object] = {}
-    for key in raw:
-        if key in _SCENE_INT_KEYS:
-            parse = int
-        elif key in _SCENE_BOOL_KEYS:
-            parse = _parse_bool
-        else:
-            parse = float
-        vals[key] = _kv_value(raw, key, parse, path)
-
-    def pick(name, default):
-        return vals.get(name, default)
-
+    spec = SceneSpec(dims=GridDims(1, 1), n_piglets=0)
+    defaults = asdict(spec.dims)
+    defaults.update((name, getattr(spec, name)) for name in _SCENE_SCALARS)
+    for name in _SCENE_RANGES:
+        defaults[f"{name}_min"], defaults[f"{name}_max"] = getattr(spec, name)
+    defaults.update((name, getattr(spec.noise, name)) for name in _SCENE_NOISE)
+    vals = {**defaults, **_kv_load(text, path, "scene", defaults, required=("width", "height", "n_piglets"))}
     try:
         dims = GridDims(vals["width"], vals["height"])
-        defaults = SceneSpec(dims=dims, n_piglets=0)
+        noise = NoiseModel(**{name: vals[name] for name in _SCENE_NOISE})
         return SceneSpec(
             dims=dims,
-            n_piglets=vals["n_piglets"],
-            seed=pick("seed", 0),
-            piglet_a=(pick("piglet_a_min", defaults.piglet_a[0]), pick("piglet_a_max", defaults.piglet_a[1])),
-            piglet_b=(pick("piglet_b_min", defaults.piglet_b[0]), pick("piglet_b_max", defaults.piglet_b[1])),
-            sow=pick("sow", defaults.sow),
-            sow_half_length=pick("sow_half_length", defaults.sow_half_length),
-            sow_radius=pick("sow_radius", defaults.sow_radius),
-            sow_min_visible_area=pick("sow_min_visible_area", defaults.sow_min_visible_area),
-            n_random_occluders=pick("n_random_occluders", 0),
-            occluder_width=(
-                pick("occluder_width_min", defaults.occluder_width[0]),
-                pick("occluder_width_max", defaults.occluder_width[1]),
-            ),
-            max_speed=pick("max_speed", 0.0),
-            min_visible_area=pick("min_visible_area", defaults.min_visible_area),
-            min_center_separation=pick("min_center_separation", defaults.min_center_separation),
-            noise=NoiseModel(
-                flip_rate=pick("flip_rate", 0.0),
-                offset_sigma=pick("offset_sigma", 0.0),
-            ),
+            noise=noise,
+            **{name: vals[name] for name in _SCENE_SCALARS},
+            **{name: (vals[f"{name}_min"], vals[f"{name}_max"]) for name in _SCENE_RANGES},
         )
     except ValueError as exc:
         raise FormatError(path, 0, str(exc)) from exc

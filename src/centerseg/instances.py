@@ -225,45 +225,41 @@ def segment_frame(
     if config is None:
         config = PipelineConfig()
     timings: dict[str, float] = {}
-    t_start = time.perf_counter()
+    marks = [time.perf_counter()]
 
-    t0 = time.perf_counter()
+    def lap(stage: str) -> None:
+        marks.append(time.perf_counter())
+        timings[stage] = marks[-1] - marks[-2]
+
     cloud = generate_centers(semantic, offsets)
-    timings["generate"] = time.perf_counter() - t0
+    lap("generate")
 
-    t0 = time.perf_counter()
     cloud = filter_centers(
         cloud,
         radius_t=config.t,
         min_neighbors=config.min_neighbors,
         strategy=config.filter_strategy,
     )
-    timings["filter"] = time.perf_counter() - t0
+    lap("filter")
 
-    t0 = time.perf_counter()
     retained = np.flatnonzero(~cloud.filtered)
     sub = _cluster(cloud.positions[retained], config)
     full = np.zeros(len(cloud), dtype=np.int64)
     full[retained] = sub.labels
     labels = ClusterLabels(full, sub.n_groups)
-    timings["cluster"] = time.perf_counter() - t0
+    lap("cluster")
 
-    t0 = time.perf_counter()
-    traced = labels
-    if config.rc2m and labels.n_groups >= 1:
-        traced = reassign_unlabeled(cloud, labels)
-    timings["reassign"] = time.perf_counter() - t0
-    unassigned = int(np.count_nonzero(traced.labels == 0))
+    traced = reassign_unlabeled(cloud, labels) if config.rc2m else labels
+    lap("reassign")
 
-    t0 = time.perf_counter()
     instances = instances_from_labels(cloud, labels, traced)
-    timings["assemble"] = time.perf_counter() - t0
+    lap("assemble")
 
-    t0 = time.perf_counter()
     sow = sow_instance(semantic)
     if sow is not None:
         instances.append(sow)
-    timings["sow"] = time.perf_counter() - t0
+    lap("sow")
 
-    timings["total"] = time.perf_counter() - t_start
+    timings["total"] = time.perf_counter() - marks[0]
+    unassigned = int(np.count_nonzero(traced.labels == 0))
     return FrameResult(instances=instances, unassigned_pixel_count=unassigned, timings=timings)

@@ -32,7 +32,6 @@ class Track:
     dims: GridDims
     frames: list[int] = field(default_factory=list)
     centers: list[tuple[float, float]] = field(default_factory=list)
-    areas: list[int] = field(default_factory=list)
     movement: float = 0.0
     top_areas: list[int] = field(default_factory=list)  # descending, at most 5
     occupancy: np.ndarray | None = None  # per-pixel visit counts
@@ -51,7 +50,6 @@ class Track:
         self.frames.append(frame_index)
         self.centers.append(inst.predicted_center)
         area = inst.mask.area
-        self.areas.append(area)
         self.top_areas = sorted(self.top_areas + [area], reverse=True)[:TOP_AREA_KEEP]
         r0, r1, c0, c1 = inst.mask.bbox
         self.occupancy[r0:r1, c0:c1] += inst.mask.pixels[r0:r1, c0:c1]

@@ -1,6 +1,7 @@
 """End-to-end CLI runs against temp files."""
 
 import numpy as np
+import pytest
 
 from centerseg import GridDims, OffsetMap, SemanticMap
 from centerseg.cli import main
@@ -234,7 +235,7 @@ def test_nan_config_values_fail_before_any_frame_is_read(tmp_path, capsys):
     segment = ["segment", str(tmp_path / "a.ccsm"), str(tmp_path / "a.ccof"), "--out", str(tmp_path / "o.json")]
     for flag in ("--eps", "--t", "--bandwidth", "--fps", "--min-iou"):
         for value in ("nan", "-1"):
-            assert main([*segment, flag, value]) == 1, (flag, value)
+            assert main([*segment, flag, value]) == 2, (flag, value)
             name = flag[2:].replace("-", "_")
             assert f"error: {name} must be " in capsys.readouterr().err, (flag, value)
     for key in ("eps", "t", "shift_tol", "merge_radius"):
@@ -242,3 +243,30 @@ def test_nan_config_values_fail_before_any_frame_is_read(tmp_path, capsys):
         cfg_path.write_text(f"{key}=nan\n")
         assert main([*segment, "--config", str(cfg_path)]) == 2, key
         assert f"{cfg_path}: byte 0: {key} must be > 0" in capsys.readouterr().err, key
+
+
+def test_rc2m_flag_matches_config_file(tmp_path, capsys):
+    # offset noise leaves votes for rc2m to reassign, so on and off differ
+    scene = write_scene(tmp_path, "offset_sigma=3\n")
+    frames = tmp_path / "frames"
+    assert main(["synth", str(scene), "--out-dir", str(frames)]) == 0
+    cfg_path = tmp_path / "pipe.cfg"
+    cfg_path.write_text("rc2m=off\n")
+    segment = ["segment", str(frames / "frame_0000.ccsm"), str(frames / "frame_0000.ccof"), "--min-pts", "25"]
+    outs = {}
+    for name, extra in (
+        ("default", []),
+        ("file_off", ["--config", str(cfg_path)]),
+        ("flag_off", ["--rc2m", "off"]),
+        ("flag_true", ["--config", str(cfg_path), "--rc2m", "true"]),
+    ):
+        out = tmp_path / f"{name}.json"
+        assert main([*segment, "--out", str(out), *extra]) == 0, name
+        outs[name] = out.read_bytes()
+    assert outs["flag_off"] == outs["file_off"]
+    assert outs["flag_true"] == outs["default"]
+    assert outs["flag_off"] != outs["default"]
+    with pytest.raises(SystemExit) as exc:
+        main([*segment, "--out", str(tmp_path / "bad.json"), "--rc2m", "maybe"])
+    assert exc.value.code == 2
+    assert "--rc2m" in capsys.readouterr().err

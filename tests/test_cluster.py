@@ -13,6 +13,7 @@ from scipy.sparse.csgraph import connected_components
 
 from centerseg import (
     CenterCloud,
+    ClusterLabels,
     GridDims,
     GridIndex,
     clustering,
@@ -58,6 +59,21 @@ def test_singletons():
         assert one.n_groups == 1 and list(one.labels) == [1]
         none = fn([[1.0, 2.0]], 2.5, 2)
         assert none.n_groups == 0 and list(none.labels) == [0]
+
+
+@pytest.mark.parametrize(
+    "labels, n_groups, message",
+    [
+        ([0, -1, 1], 1, "must lie in"),  # a negative label
+        ([0, 1, 3], 2, "must lie in"),  # a label above n_groups
+        ([1, 3, 0, 3], 3, "non-empty"),  # group 2 of 3 is empty
+        ([0, 0], 1, "non-empty"),  # n_groups > 0 with no grouped labels
+        ([], 2, "cannot have groups"),  # n_groups > 0 with no labels
+    ],
+)
+def test_cluster_labels_rejections(labels, n_groups, message):
+    with pytest.raises(ValueError, match=message):
+        ClusterLabels(np.array(labels, dtype=np.int64), n_groups)
 
 
 def test_parameter_validation():

@@ -10,6 +10,7 @@ from centerseg import (
     BinaryMask,
     GridDims,
     Instance,
+    NoiseModel,
     OffsetMap,
     PipelineConfig,
     SemanticMap,
@@ -270,3 +271,34 @@ def test_scene_spec_parsing():
         scene_spec_loads("width=10\nheight=10\nn_piglets=1\npigs=4\n")
     with pytest.raises(FormatError, match="missing scene key"):
         scene_spec_loads("width=10\nheight=10\n")
+
+
+def test_scene_file_sets_every_documented_key():
+    # every key the README lists, each to a value other than its default
+    spec = scene_spec_loads(
+        "width=160\nheight=120\nn_piglets=6\nseed=3\nsow=off\n"
+        "sow_half_length=20.5\nsow_radius=10\nsow_min_visible_area=120\n"
+        "piglet_a_min=9\npiglet_a_max=14.5\npiglet_b_min=6\npiglet_b_max=9.5\n"
+        "n_random_occluders=2\noccluder_width_min=2\noccluder_width_max=5.5\n"
+        "max_speed=1.5\nmin_visible_area=90\nmin_center_separation=12\n"
+        "flip_rate=0.02\noffset_sigma=1.5\n"
+    )
+    expected = {
+        "dims": GridDims(160, 120), "n_piglets": 6, "seed": 3, "sow": False,
+        "sow_half_length": 20.5, "sow_radius": 10.0, "sow_min_visible_area": 120,
+        "piglet_a": (9.0, 14.5), "piglet_b": (6.0, 9.5),
+        "n_random_occluders": 2, "occluder_width": (2.0, 5.5),
+        "max_speed": 1.5, "min_visible_area": 90, "min_center_separation": 12.0,
+        "noise": NoiseModel(flip_rate=0.02, offset_sigma=1.5),
+    }
+    for name, value in expected.items():
+        got = getattr(spec, name)
+        assert got == value, name
+        assert type(got) is type(value), name
+        if isinstance(value, tuple):
+            assert [type(v) for v in got] == [float, float], name
+    assert type(spec.dims.width) is int and type(spec.dims.height) is int
+    assert type(spec.noise.flip_rate) is float and type(spec.noise.offset_sigma) is float
+    for name in ("central_radius", "min_central_visible", "positions"):
+        with pytest.raises(FormatError, match="unknown scene keys"):
+            scene_spec_loads(f"width=10\nheight=10\nn_piglets=1\n{name}=1\n")
