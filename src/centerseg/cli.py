@@ -1,11 +1,14 @@
 """Command-line front end.
 
-Subcommands: segment, track, eval, bench, gradcheck, synth. Exit codes:
-0 success, 1 runtime failure, 2 malformed input or bad arguments. Frame
-batches in ``segment`` are processed in parallel on --jobs worker
-threads, by default min(8, cpu_count); the error for a frame whose two
-maps differ in size starts with its ``.ccsm`` path. ``eval`` loads its
-manifests one after another: it accepts --jobs, which has no effect.
+Subcommands: segment, track, eval, gradcheck, synth. Exit codes: 0
+success, 1 runtime failure, 2 malformed input or bad arguments (argparse's
+rejections too; ``--help`` exits 0). Each command has flags for only the
+pipeline config keys it reads; its ``--config`` file may set any key.
+``segment --batch-dir`` runs frames on --jobs worker threads, by default
+min(8, cpu_count), names a failing frame by its ``.ccsm`` path and then
+publishes no manifest. ``track`` reads each manifest just before its
+update. ``eval`` loads its manifests one after another: it accepts
+--jobs, which has no effect.
 """
 
 from __future__ import annotations
@@ -14,21 +17,17 @@ import argparse
 import json
 import os
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import formats
-from .clustering import dbscan, mean_shift
 from .config import ALGORITHMS, FILTER_STRATEGIES, PipelineConfig
 from .evaluation import map_eval
-from .grids import DimensionMismatch, GridDims
+from .grids import DimensionMismatch
 from .instances import FrameResult, segment_frame
 from .losses import run_gradient_checks
-from .synth import SceneGenerationError, SceneSpec, gen_sequence, gt_instances, perturb
+from .synth import SceneGenerationError, gen_sequence, gt_instances, perturb
 from .tracking import TrackState, heatmap, track_metrics, update_tracks
 
 
@@ -36,20 +35,34 @@ class UsageError(Exception):
     """Bad command-line arguments; ``main`` exits 2 with the message."""
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _on_off(value: str) -> bool:
+    try:
+        return formats.parse_bool(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+# The flag of each PipelineConfig field a command may read, by field name.
+_CONFIG_FLAGS = {
+    "t": {"type": float, "help": "vote filter radius, px"},
+    "min_neighbors": {"type": int},
+    "filter_strategy": {"choices": FILTER_STRATEGIES},
+    "eps": {"type": float, "help": "clustering radius, px"},
+    "min_pts": {"type": int},
+    "rc2m": {"type": _on_off, "metavar": "on|off", "help": "residual vote reassignment"},
+    "algo": {"choices": ALGORITHMS},
+    "bandwidth": {"type": float},
+    "min_iou": {"type": float},
+    "fps": {"type": float},
+}
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """``--config`` plus one flag per named field (``min_pts`` is ``--min-pts``)."""
     group = parser.add_argument_group("pipeline config")
     group.add_argument("--config", type=Path, help="key=value config file")
-    group.add_argument("--t", type=float, help="vote filter radius, px")
-    group.add_argument("--min-neighbors", type=int, dest="min_neighbors")
-    group.add_argument("--filter-strategy", choices=FILTER_STRATEGIES, dest="filter_strategy")
-    group.add_argument("--eps", type=float, help="clustering radius, px")
-    group.add_argument("--min-pts", type=int, dest="min_pts")
-    group.add_argument("--rc2m", type=formats.parse_bool, metavar="on|off", help="residual vote reassignment")
-    group.add_argument("--algo", choices=ALGORITHMS)
-    group.add_argument("--bandwidth", type=float)
-    group.add_argument("--min-iou", type=float, dest="min_iou")
-    group.add_argument("--fps", type=float)
-    group.add_argument("--seed", type=int)
+    for name in names:
+        group.add_argument("--" + name.replace("_", "-"), dest=name, **_CONFIG_FLAGS[name])
 
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
@@ -66,6 +79,8 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _cmd_segment(args: argparse.Namespace) -> int:
+    if args.batch_dir and (args.semantic or args.offsets or args.out or args.frame_id is not None):
+        raise UsageError("--batch-dir takes no SEMANTIC, OFFSETS, --out or --frame-id")
     cfg = _build_config(args)
 
     def run_one(sem_path: Path, off_path: Path, out_path: Path, frame_id: int):
@@ -87,10 +102,19 @@ def _cmd_segment(args: argparse.Namespace) -> int:
             off = sem.with_suffix(".ccof")
             if not off.exists():
                 raise UsageError(f"missing offset file for {sem}")
-            jobs.append((sem, off, sem.with_suffix(".json"), i))
+            jobs.append((sem, off, sem.with_suffix(".json.tmp"), i))
         workers = max(1, args.jobs) if args.jobs else min(8, os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            timings = list(pool.map(lambda j: run_one(*j), jobs))
+        # every frame writes a temporary manifest; all of them are published
+        # once the last frame succeeds, and none if any frame fails
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                timings = list(pool.map(lambda j: run_one(*j), jobs))
+        except BaseException:
+            for _, _, tmp, _ in jobs:
+                tmp.unlink(missing_ok=True)
+            raise
+        for _, _, tmp, _ in jobs:
+            os.replace(tmp, tmp.with_suffix(""))
         if args.timings:
             args.timings.write_text(json.dumps(timings, sort_keys=True) + "\n")
         print(f"segmented {len(jobs)} frames into {args.batch_dir}")
@@ -98,7 +122,7 @@ def _cmd_segment(args: argparse.Namespace) -> int:
 
     if not (args.semantic and args.offsets and args.out):
         raise UsageError("segment needs SEMANTIC OFFSETS --out OUT (or --batch-dir)")
-    timing = run_one(args.semantic, args.offsets, args.out, args.frame_id)
+    timing = run_one(args.semantic, args.offsets, args.out, args.frame_id or 0)
     if args.timings:
         args.timings.write_text(json.dumps(timing, sort_keys=True) + "\n")
     print(f"wrote {args.out}")
@@ -107,16 +131,16 @@ def _cmd_segment(args: argparse.Namespace) -> int:
 
 def _cmd_track(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    frames = []
+    state = None
     for i, path in enumerate(args.manifests):
         if not path.exists():
             raise UsageError(f"frame {i}: missing manifest {path}")
-        frames.append(formats.read_manifest(path))
-    dims = frames[0][1]
-    state = TrackState(dims=dims, fps=cfg.fps, min_iou=cfg.min_iou)
-    for frame_id, fdims, instances in frames:
-        if fdims != dims:
-            raise DimensionMismatch(f"frame {frame_id} is {fdims.width}x{fdims.height}, expected {dims.width}x{dims.height}")
+        frame_id, fdims, instances = formats.read_manifest(path)
+        if state is None:
+            state = TrackState(dims=fdims, fps=cfg.fps, min_iou=cfg.min_iou)
+        elif fdims != state.dims:
+            want = state.dims
+            raise DimensionMismatch(f"frame {frame_id} is {fdims.width}x{fdims.height}, expected {want.width}x{want.height}")
         update_tracks(state, FrameResult(instances=instances, unassigned_pixel_count=0, timings={}))
 
     out_dir = args.out_dir
@@ -129,7 +153,7 @@ def _cmd_track(args: argparse.Namespace) -> int:
         counts = heatmap(t)
         (out_dir / f"track_{t.track_id:03d}_heatmap.pgm").write_bytes(formats.heatmap_pgm_bytes(counts))
         (out_dir / f"track_{t.track_id:03d}_counts.csv").write_text(formats.counts_csv_dumps(counts))
-    print(f"tracked {len(frames)} frames, {len(tracks)} tracks -> {out_dir}")
+    print(f"tracked {len(args.manifests)} frames, {len(tracks)} tracks -> {out_dir}")
     return 0
 
 
@@ -156,43 +180,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     print(f"mAP = {result.map:.3f}")
     if not result.per_class and result.map == 0.0:
         print("warning: detections against an empty ground truth", file=sys.stderr)
-    return 0
-
-
-def _blobbed_points(n: int, seed: int) -> np.ndarray:
-    """Uniformly scattered blob centers with tight Gaussian blobs."""
-    rng = np.random.default_rng(seed)
-    n_blobs = max(1, n // 1000)
-    centers = rng.uniform(0, 4000, size=(n_blobs, 2))
-    idx = rng.integers(0, n_blobs, size=n)
-    return centers[idx] + rng.normal(0, 2.0, size=(n, 2))
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
-    sizes = [int(s) for s in args.sizes.split(",") if s != ""]
-    print("n,dbscan_s,mean_shift_s,ratio")
-    for n in sizes:
-        if n == 0:
-            print("0,0.0,0.0,n/a")
-            continue
-        pts = _blobbed_points(n, cfg.seed)
-        t0 = time.perf_counter()
-        dbscan(pts, cfg.eps, cfg.min_pts)
-        db_t = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        mean_shift(pts, bandwidth=cfg.bandwidth, max_iter=cfg.ms_max_iter, shift_tol=cfg.shift_tol)
-        ms_t = time.perf_counter() - t0
-        ratio = "n/a" if db_t == 0 else f"{ms_t / db_t:.1f}"
-        print(f"{n},{db_t:.3f},{ms_t:.3f},{ratio}")
-
-    spec = SceneSpec(dims=GridDims(192, 144), n_piglets=8, seed=cfg.seed, n_random_occluders=2)
-    frame = gen_sequence(spec, 1)[0]
-    stage_cfg = PipelineConfig(min_pts=25, eps=cfg.eps, t=cfg.t, seed=cfg.seed)
-    result = segment_frame(frame.semantic, frame.offsets, stage_cfg)
-    print("stage,seconds")
-    for stage, seconds in result.timings.items():
-        print(f"{stage},{seconds:.4f}")
     return 0
 
 
@@ -241,17 +228,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("semantic", type=Path, nargs="?", help="semantic map (.ccsm)")
     p.add_argument("offsets", type=Path, nargs="?", help="offset map (.ccof)")
     p.add_argument("--out", type=Path, help="output instance manifest (.json)")
-    p.add_argument("--frame-id", type=int, default=0)
+    p.add_argument("--frame-id", type=int, help="frame id written to the manifest (default 0)")
     p.add_argument("--batch-dir", type=Path, help="directory of paired .ccsm/.ccof files")
     p.add_argument("--timings", type=Path, help="write per-stage wall times to this JSON file")
     p.add_argument("--jobs", type=int, help="worker threads for --batch-dir (default: min(8, cpu_count))")
-    _add_config_flags(p)
+    _add_config_flags(p, "t", "min_neighbors", "filter_strategy", "eps", "min_pts", "rc2m", "algo", "bandwidth")
     p.set_defaults(func=_cmd_segment)
 
     p = sub.add_parser("track", help="track instances across ordered frame manifests")
     p.add_argument("manifests", type=Path, nargs="+")
     p.add_argument("--out-dir", type=Path, required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, "min_iou", "fps")
     p.set_defaults(func=_cmd_track)
 
     p = sub.add_parser("eval", help="mAP of predictions against ground truth")
@@ -259,11 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", type=Path, nargs="+", required=True)
     p.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect")
     p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("bench", help="clustering speed comparison and stage breakdown")
-    p.add_argument("--sizes", default="2000,10000,50000")
-    _add_config_flags(p)
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("gradcheck", help="finite-difference checks of the loss gradients")
     p.add_argument("--n", type=int, default=50)
@@ -281,8 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 after printing a rejection
+        return exc.code
     try:
         return args.func(args)
     except (formats.FormatError, DimensionMismatch, UsageError) as exc:

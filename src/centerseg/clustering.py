@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +57,19 @@ class ClusterLabels:
 
     def __len__(self) -> int:
         return int(self.labels.size)
+
+    @cached_property
+    def members(self) -> tuple[np.ndarray, ...]:
+        """Read-only point indices of groups 1..n_groups, each ascending,
+        from one stable sort of the grouped points (group 0 is left out of
+        the sort). Computed on first use and kept: the labels are read-only."""
+        if self.n_groups == 0:
+            return ()
+        grouped = np.flatnonzero(self.labels)
+        order = grouped[np.argsort(self.labels[grouped], kind="stable")]
+        order.flags.writeable = False
+        cuts = np.searchsorted(self.labels[order], np.arange(2, self.n_groups + 1))
+        return tuple(np.split(order, cuts))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClusterLabels):

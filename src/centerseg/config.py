@@ -31,7 +31,6 @@ class PipelineConfig:
     merge_radius: float | None = None
     min_iou: float = 0.0
     fps: float = 7.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         self.validate()

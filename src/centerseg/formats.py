@@ -255,7 +255,7 @@ def parse_bool(value: str) -> bool:
         return True
     if value in ("off", "false", "0"):
         return False
-    raise ValueError(f"expected on or off, got {value!r}")
+    raise ValueError(f"expected on, off, true, false, 1 or 0, got {value!r}")
 
 
 def _kv_load(text: str, path, kind: str, defaults: dict[str, object], required=()) -> dict[str, object]:

@@ -72,17 +72,6 @@ def _check_alignment(cloud: CenterCloud, labels: ClusterLabels) -> None:
         raise ValueError(f"{len(labels)} labels for {len(cloud)} votes")
 
 
-def _group_members(labels: ClusterLabels) -> list[np.ndarray]:
-    """Vote indices of groups 1..n_groups, each ascending, from one stable
-    sort of the grouped votes (group 0 is left out of the sort)."""
-    if labels.n_groups == 0:
-        return []
-    grouped = np.flatnonzero(labels.labels)
-    order = grouped[np.argsort(labels.labels[grouped], kind="stable")]
-    cuts = np.searchsorted(labels.labels[order], np.arange(2, labels.n_groups + 1))
-    return np.split(order, cuts)
-
-
 def instances_from_labels(
     cloud: CenterCloud, labels: ClusterLabels, mask_labels: ClusterLabels | None = None
 ) -> list[Instance]:
@@ -96,7 +85,7 @@ def instances_from_labels(
     confidences still come from ``labels``.
     """
     _check_alignment(cloud, labels)
-    members = _group_members(labels)
+    members = labels.members
     if not members:
         return []
     if mask_labels is None or mask_labels is labels:
@@ -105,7 +94,7 @@ def instances_from_labels(
         _check_alignment(cloud, mask_labels)
         if mask_labels.n_groups != labels.n_groups:
             raise ValueError(f"{mask_labels.n_groups} mask groups for {labels.n_groups} groups")
-        traced = _group_members(mask_labels)
+        traced = mask_labels.members
     largest = max(idx.size for idx in members)
     out = []
     for idx, pixels in zip(members, traced):
@@ -149,9 +138,7 @@ def reassign_unlabeled(cloud: CenterCloud, labels: ClusterLabels) -> ClusterLabe
     zero = np.flatnonzero(labels.labels == 0)
     if zero.size == 0:
         return labels
-    centroids = [
-        cloud.positions[idx].mean(axis=0).tolist() for idx in _group_members(labels)
-    ]
+    centroids = [cloud.positions[idx].mean(axis=0).tolist() for idx in labels.members]
     xs, ys = cloud.positions[:, 0], cloud.positions[:, 1]
     size = min(_REASSIGN_BLOCK, zero.size)
     buffers = (

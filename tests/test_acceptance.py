@@ -440,7 +440,6 @@ def test_c9_format_fuzz():
             algo=str(rng.choice(["dbscan", "dbscan-naive", "mean-shift"])),
             min_iou=float(rng.uniform(0, 0.5)),
             fps=float(rng.uniform(1, 30)),
-            seed=int(rng.integers(0, 10_000)),
         )
         text = config_dumps(cfg)
         cases += 1

@@ -1,7 +1,6 @@
 """End-to-end CLI runs against temp files."""
 
 import numpy as np
-import pytest
 
 from centerseg import GridDims, OffsetMap, SemanticMap
 from centerseg.cli import main
@@ -113,6 +112,13 @@ def test_track_missing_manifest_names_index(tmp_path, capsys):
     code = main(["track", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path / "t")])
     assert code == 2
     assert "frame 0" in capsys.readouterr().err
+    # frame 0 is tracked before frame 1 is read; still no output is written
+    ok = tmp_path / "ok.json"
+    ok.write_text('{"frame":0,"height":4,"instances":[],"width":4}\n')
+    code = main(["track", str(ok), str(tmp_path / "nope.json"), "--out-dir", str(tmp_path / "t")])
+    assert code == 2
+    assert "frame 1: missing manifest" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
 
 
 def test_eval_misaligned_exit_2(tmp_path, capsys):
@@ -130,15 +136,6 @@ def test_gradcheck_cli(capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "component" in out
-
-
-def test_bench_small(capsys):
-    assert main(["bench", "--sizes", "0,400", "--min-pts", "5"]) == 0
-    out = capsys.readouterr().out
-    assert "0,0.0,0.0,n/a" in out
-    assert "stage,seconds" in out
-    for stage in ("generate", "filter", "cluster", "assemble", "reassign", "sow", "total"):
-        assert stage in out
 
 
 def test_config_file_plus_flag_overrides(tmp_path):
@@ -219,6 +216,9 @@ def test_batch_names_the_failing_frame(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{tmp_path / 'b.ccsm'}: " in err
     assert "a.ccsm" not in err
+    # frame a succeeded, but a failing batch publishes none of its manifests
+    assert not (tmp_path / "a.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ccof", "a.ccsm", "b.ccof", "b.ccsm"]
 
 
 def test_unplaceable_scene_exit_1_names_file(tmp_path, capsys):
@@ -233,9 +233,12 @@ def test_unplaceable_scene_exit_1_names_file(tmp_path, capsys):
 def test_nan_config_values_fail_before_any_frame_is_read(tmp_path, capsys):
     # the maps do not exist: a bound checked only later would fail on them
     segment = ["segment", str(tmp_path / "a.ccsm"), str(tmp_path / "a.ccof"), "--out", str(tmp_path / "o.json")]
-    for flag in ("--eps", "--t", "--bandwidth", "--fps", "--min-iou"):
+    track = ["track", str(tmp_path / "a.json"), "--out-dir", str(tmp_path / "t")]
+    for argv, flag in (
+        (segment, "--eps"), (segment, "--t"), (segment, "--bandwidth"), (track, "--fps"), (track, "--min-iou"),
+    ):
         for value in ("nan", "-1"):
-            assert main([*segment, flag, value]) == 2, (flag, value)
+            assert main([*argv, flag, value]) == 2, (flag, value)
             name = flag[2:].replace("-", "_")
             assert f"error: {name} must be " in capsys.readouterr().err, (flag, value)
     for key in ("eps", "t", "shift_tol", "merge_radius"):
@@ -266,7 +269,25 @@ def test_rc2m_flag_matches_config_file(tmp_path, capsys):
     assert outs["flag_off"] == outs["file_off"]
     assert outs["flag_true"] == outs["default"]
     assert outs["flag_off"] != outs["default"]
-    with pytest.raises(SystemExit) as exc:
-        main([*segment, "--out", str(tmp_path / "bad.json"), "--rc2m", "maybe"])
-    assert exc.value.code == 2
-    assert "--rc2m" in capsys.readouterr().err
+    assert main([*segment, "--out", str(tmp_path / "bad.json"), "--rc2m", "maybe"]) == 2
+    err = capsys.readouterr().err
+    assert "--rc2m" in err and "expected on, off, true, false, 1 or 0, got 'maybe'" in err
+
+
+def test_bad_arguments_return_2_and_help_returns_0(tmp_path, capsys):
+    manifest = str(tmp_path / "a.json")
+    batch = ["segment", "--batch-dir", str(tmp_path)]
+    for argv in (
+        ["bench"],
+        ["track", manifest, "--out-dir", str(tmp_path / "t"), "--eps", "1"],
+        ["segment", "a.ccsm", "a.ccof", "--out", manifest, "--fps", "7"],
+        ["segment", "a.ccsm", "a.ccof", "--out", manifest, "--seed", "1"],
+        ["segment", "a.ccsm", "a.ccof", "--out", manifest, "--eps", "wide"],
+        [*batch, "--out", manifest],
+        [*batch, "--frame-id", "0"],
+        [*batch, "a.ccsm", "a.ccof"],
+    ):
+        assert main(argv) == 2, argv
+        assert "error: " in capsys.readouterr().err, argv
+    assert main(["segment", "--help"]) == 0
+    assert "--min-pts" in capsys.readouterr().out

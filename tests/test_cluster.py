@@ -76,6 +76,19 @@ def test_cluster_labels_rejections(labels, n_groups, message):
         ClusterLabels(np.array(labels, dtype=np.int64), n_groups)
 
 
+def test_cluster_labels_members_group_once():
+    rng = np.random.default_rng(5)
+    for n_groups in (0, 1, 4):
+        raw = rng.integers(0, n_groups + 1, size=60)
+        raw[: n_groups + 1] = np.arange(n_groups + 1)  # every group non-empty
+        labels = ClusterLabels(raw, n_groups)
+        want = [np.flatnonzero(raw == g) for g in range(1, n_groups + 1)]
+        assert len(labels.members) == n_groups
+        assert all(np.array_equal(got, w) for got, w in zip(labels.members, want))
+        assert labels.members is labels.members
+        assert all(not idx.flags.writeable for idx in labels.members)
+
+
 def test_parameter_validation():
     for fn in (dbscan, dbscan_naive):
         with pytest.raises(ValueError):

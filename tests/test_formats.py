@@ -234,7 +234,7 @@ def test_track_writers_on_all_zero_and_single_cells(shape):
 
 
 def test_config_round_trip():
-    cfg = PipelineConfig(t=18.5, min_pts=30, rc2m=False, algo="mean-shift", seed=9)
+    cfg = PipelineConfig(t=18.5, min_pts=30, rc2m=False, algo="mean-shift")
     text = config_dumps(cfg)
     assert "rc2m=off" in text
     got = config_loads(text)
