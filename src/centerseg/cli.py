@@ -4,16 +4,18 @@ Subcommands: segment, track, eval, gradcheck, synth. Exit codes: 0
 success, 1 runtime failure, 2 malformed input or bad arguments (argparse's
 rejections too; ``--help`` exits 0). Each command has flags for only the
 pipeline config keys it reads; its ``--config`` file may set any key.
-``segment --batch-dir`` runs frames on --jobs worker threads, by default
-min(8, cpu_count), names a failing frame by its ``.ccsm`` path and then
-publishes no manifest. ``track`` reads each manifest just before its
-update. ``eval`` loads its manifests one after another: it accepts
+``segment --batch-dir`` runs frames on --jobs worker threads (at least
+1; by default min(8, cpu_count)), names a failing frame by its ``.ccsm``
+path and then publishes no manifest. ``track`` reads each manifest just
+before its update and publishes its output files together once all are
+written. ``eval`` loads its manifests one after another: it accepts
 --jobs, which has no effect.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -33,6 +35,17 @@ from .tracking import TrackState, heatmap, track_metrics, update_tracks
 
 class UsageError(Exception):
     """Bad command-line arguments; ``main`` exits 2 with the message."""
+
+
+def _jobs(value: str) -> int:
+    """A worker count: an integer of at least 1."""
+    try:
+        jobs = int(value)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {value!r}")
+    return jobs
 
 
 def _on_off(value: str) -> bool:
@@ -78,6 +91,29 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     return cfg
 
 
+@contextlib.contextmanager
+def _all_or_nothing():
+    """Yields ``stage(path)``, which names the temporary file ``<path>.tmp``
+    to write in place of ``path``. Once the block succeeds every staged
+    file is renamed to its path; if the block or a rename fails, the
+    temporary files left are removed."""
+    staged: list[Path] = []
+
+    def stage(path: Path) -> Path:
+        staged.append(path.with_name(path.name + ".tmp"))
+        return staged[-1]
+
+    try:
+        yield stage
+        for tmp in staged:
+            os.replace(tmp, tmp.with_suffix(""))
+    except BaseException:
+        for tmp in staged:
+            with contextlib.suppress(OSError):
+                tmp.unlink(missing_ok=True)
+        raise
+
+
 def _cmd_segment(args: argparse.Namespace) -> int:
     if args.batch_dir and (args.semantic or args.offsets or args.out or args.frame_id is not None):
         raise UsageError("--batch-dir takes no SEMANTIC, OFFSETS, --out or --frame-id")
@@ -97,24 +133,17 @@ def _cmd_segment(args: argparse.Namespace) -> int:
         sem_files = sorted(args.batch_dir.glob("*.ccsm"))
         if not sem_files:
             raise UsageError(f"no .ccsm files in {args.batch_dir}")
-        jobs = []
-        for i, sem in enumerate(sem_files):
-            off = sem.with_suffix(".ccof")
-            if not off.exists():
-                raise UsageError(f"missing offset file for {sem}")
-            jobs.append((sem, off, sem.with_suffix(".json.tmp"), i))
-        workers = max(1, args.jobs) if args.jobs else min(8, os.cpu_count() or 1)
         # every frame writes a temporary manifest; all of them are published
         # once the last frame succeeds, and none if any frame fails
-        try:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+        with _all_or_nothing() as stage:
+            jobs = []
+            for i, sem in enumerate(sem_files):
+                off = sem.with_suffix(".ccof")
+                if not off.exists():
+                    raise UsageError(f"missing offset file for {sem}")
+                jobs.append((sem, off, stage(sem.with_suffix(".json")), i))
+            with ThreadPoolExecutor(max_workers=args.jobs or min(8, os.cpu_count() or 1)) as pool:
                 timings = list(pool.map(lambda j: run_one(*j), jobs))
-        except BaseException:
-            for _, _, tmp, _ in jobs:
-                tmp.unlink(missing_ok=True)
-            raise
-        for _, _, tmp, _ in jobs:
-            os.replace(tmp, tmp.with_suffix(""))
         if args.timings:
             args.timings.write_text(json.dumps(timings, sort_keys=True) + "\n")
         print(f"segmented {len(jobs)} frames into {args.batch_dir}")
@@ -145,14 +174,15 @@ def _cmd_track(args: argparse.Namespace) -> int:
 
     out_dir = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "tracks.csv").write_text(formats.tracks_csv_dumps(state.rows))
     tracks = state.all_tracks()
-    metrics = [track_metrics(t, state) for t in tracks]
-    (out_dir / "metrics.csv").write_text(formats.metrics_csv_dumps(metrics))
-    for t in tracks:
-        counts = heatmap(t)
-        (out_dir / f"track_{t.track_id:03d}_heatmap.pgm").write_bytes(formats.heatmap_pgm_bytes(counts))
-        (out_dir / f"track_{t.track_id:03d}_counts.csv").write_text(formats.counts_csv_dumps(counts))
+    with _all_or_nothing() as stage:
+        stage(out_dir / "tracks.csv").write_text(formats.tracks_csv_dumps(state.rows))
+        metrics = [track_metrics(t, state) for t in tracks]
+        stage(out_dir / "metrics.csv").write_text(formats.metrics_csv_dumps(metrics))
+        for t in tracks:
+            counts = heatmap(t)
+            stage(out_dir / f"track_{t.track_id:03d}_heatmap.pgm").write_bytes(formats.heatmap_pgm_bytes(counts))
+            stage(out_dir / f"track_{t.track_id:03d}_counts.csv").write_bytes(formats.counts_csv_dumps(counts))
     print(f"tracked {len(args.manifests)} frames, {len(tracks)} tracks -> {out_dir}")
     return 0
 
@@ -231,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame-id", type=int, help="frame id written to the manifest (default 0)")
     p.add_argument("--batch-dir", type=Path, help="directory of paired .ccsm/.ccof files")
     p.add_argument("--timings", type=Path, help="write per-stage wall times to this JSON file")
-    p.add_argument("--jobs", type=int, help="worker threads for --batch-dir (default: min(8, cpu_count))")
+    p.add_argument("--jobs", type=_jobs, help="worker threads for --batch-dir (default: min(8, cpu_count))")
     _add_config_flags(p, "t", "min_neighbors", "filter_strategy", "eps", "min_pts", "rc2m", "algo", "bandwidth")
     p.set_defaults(func=_cmd_segment)
 
@@ -244,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="mAP of predictions against ground truth")
     p.add_argument("--pred", type=Path, nargs="+", required=True)
     p.add_argument("--gt", type=Path, nargs="+", required=True)
-    p.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect")
+    p.add_argument("--jobs", type=_jobs, help="accepted for compatibility; has no effect")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference checks of the loss gradients")

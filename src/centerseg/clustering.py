@@ -66,7 +66,10 @@ class ClusterLabels:
         if self.n_groups == 0:
             return ()
         grouped = np.flatnonzero(self.labels)
-        order = grouped[np.argsort(self.labels[grouped], kind="stable")]
+        keys = self.labels[grouped]
+        if self.n_groups <= np.iinfo(np.uint16).max:
+            keys = keys.astype(np.uint16)  # numpy's stable sort of 16-bit keys is a radix sort
+        order = grouped[np.argsort(keys, kind="stable")]
         order.flags.writeable = False
         cuts = np.searchsorted(self.labels[order], np.arange(2, self.n_groups + 1))
         return tuple(np.split(order, cuts))

@@ -28,9 +28,9 @@ def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
     """Intersection over union of two masks; 0.0 when both are empty.
 
     The intersection is counted only over the overlap of the two
-    bounding boxes (0 at once when they are disjoint) and the union
-    comes from the cached areas, so the cost follows the masks' extent,
-    not the frame's.
+    bounding boxes (0 at once when they are disjoint), reading each
+    crop at its box offset, and the union comes from the areas, so the
+    cost follows the masks' extent, not the frame's.
     """
     if a.dims != b.dims:
         raise DimensionMismatch(
@@ -42,7 +42,9 @@ def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
     c0, c1 = max(ac0, bc0), min(ac1, bc1)
     if r0 >= r1 or c0 >= c1:
         return 0.0
-    inter = int(np.count_nonzero(a.pixels[r0:r1, c0:c1] & b.pixels[r0:r1, c0:c1]))
+    inter = int(np.count_nonzero(
+        a.crop[r0 - ar0 : r1 - ar0, c0 - ac0 : c1 - ac0] & b.crop[r0 - br0 : r1 - br0, c0 - bc0 : c1 - bc0]
+    ))
     return inter / (a.area + b.area - inter)
 
 

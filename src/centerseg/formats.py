@@ -149,7 +149,7 @@ def manifest_loads(text: str, path="<memory>") -> tuple[int, GridDims, list[Inst
         ]
     except FormatError:
         raise
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
         offset = getattr(exc, "pos", 0)
         raise FormatError(path, offset, f"bad instance manifest: {exc}") from exc
     return frame_id, dims, instances
@@ -231,19 +231,62 @@ def heatmap_pgm_bytes(counts: np.ndarray) -> bytes:
     return f"P5\n{w} {h}\n255\n".encode() + scaled.tobytes()
 
 
-def counts_csv_dumps(counts: np.ndarray) -> str:
-    """Integer (rows, cols) counts as CSV, one line per row.
+def counts_csv_dumps(counts: np.ndarray) -> bytes:
+    """Integer (rows, cols) counts as ASCII CSV bytes, one line per row.
 
     Rows outside the bounding box of the nonzero counts are one shared
-    zero line; inside it only the box's columns are formatted.
+    zero line, and the columns outside it constant runs of ``0,``; only
+    the box's cells are formatted, by :func:`_box_csv`.
     """
     counts = np.asarray(counts)
     h, w = counts.shape
-    zero_row = ",".join("0" * w)
+    zero_row = b"0," * (w - 1) + b"0\n"
     r0, r1, c0, c1 = bounding_box(counts)
-    left, right = "0," * c0, ",0" * (w - c1)
-    inner = [left + ",".join(map(str, row)) + right for row in counts[r0:r1, c0:c1].tolist()]
-    return "\n".join([zero_row] * r0 + inner + [zero_row] * (h - r1)) + "\n"
+    left, right = b"0," * c0, b",0" * (w - c1) + b"\n"
+    inner = b""
+    if r1 > r0:
+        inner = left + _box_csv(counts[r0:r1, c0:c1])[:-1].replace(b"\n", right + left) + right
+    return b"".join((zero_row * r0, inner, zero_row * (h - r1)))
+
+
+def _box_csv(box: np.ndarray) -> bytes:
+    """The cells of a non-empty integer array as CSV lines, each ending in a newline.
+
+    Formatted in numpy, with no Python call per cell: each cell's byte
+    width (sign, digits, separator) gives its end in one buffer by a
+    cumulative sum, and the digits are written right to left, one digit
+    place at a time, for every cell that still has one.
+    """
+    cells = box.ravel()
+    lo, hi = int(cells.min()), int(cells.max())
+    top = max(hi, -lo)
+    neg = cells < 0
+    if lo < 0:
+        cells = cells.astype(np.int64, copy=False)  # a narrower type's minimum would wrap in abs()
+    # magnitudes, in 32 bits when they fit (twice as fast); INT64_MIN wraps to 2**63, its magnitude
+    mag = np.empty(cells.size, dtype=np.uint32 if top < 2**32 else np.uint64)
+    np.absolute(cells, out=mag, casting="unsafe")
+    width = neg + 2  # sign, first digit, separator
+    place = 10
+    while place <= top:
+        width += mag >= place
+        place *= 10
+    end = np.cumsum(width)
+    buf = np.full(int(end[-1]), ord(","), dtype=np.uint8)
+    buf[end[box.shape[1] - 1 :: box.shape[1]] - 1] = ord("\n")
+    if lo < 0:
+        buf[(end - width)[neg]] = ord("-")
+    pos = end
+    pos -= 2  # each cell's last digit
+    while True:
+        rest = mag // 10  # floor division by a constant is far cheaper than %
+        mag -= rest * 10
+        mag += ord("0")
+        buf[pos] = mag
+        more = rest > 0
+        if not more.any():
+            return buf.tobytes()
+        mag, pos = rest[more], pos[more] - 1
 
 
 # --- flat key=value files: pipeline configs -------------------------------

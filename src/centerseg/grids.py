@@ -11,7 +11,6 @@ read-only) and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -75,57 +74,82 @@ def bounding_box(arr: np.ndarray) -> tuple[int, int, int, int]:
     return (r0, r1, int(cols[0]), int(cols[-1]) + 1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class BinaryMask:
-    """A set of pixels on a grid, stored as a boolean (rows, cols) array.
+    """A set of pixels on a grid, stored as its bounding box and the crop.
 
-    ``bbox`` and ``area`` are computed on first use and cached; that is
-    safe because ``pixels`` is read-only.
+    ``bbox`` is the half-open box ``(row0, row1, col0, col1)`` of the set
+    pixels, ``(0, 0, 0, 0)`` when there are none, and ``crop`` the
+    read-only boolean array of that box. The box is tight (the crop's
+    first and last rows and columns each hold a set pixel), so equal
+    pixel sets have equal fields. ``BinaryMask(dims, pixels)`` takes a
+    full (rows, cols) frame and crops it; ``pixels`` builds that frame
+    again on each access, and the pipeline itself reads only the crop.
     """
 
     dims: GridDims
-    pixels: np.ndarray
+    bbox: tuple[int, int, int, int]
+    crop: np.ndarray
+    area: int
 
-    def __post_init__(self) -> None:
-        px = np.asarray(self.pixels, dtype=bool)
-        if px.shape != self.dims.shape:
-            raise ValueError(f"mask shape {px.shape} does not match dims {self.dims.shape}")
-        object.__setattr__(self, "pixels", _frozen(px))
+    def __init__(self, dims: GridDims, pixels) -> None:
+        px = np.asarray(pixels, dtype=bool)
+        if px.shape != dims.shape:
+            raise ValueError(f"mask shape {px.shape} does not match dims {dims.shape}")
+        r0, r1, c0, c1 = box = bounding_box(px)
+        self._set(dims, box, px[r0:r1, c0:c1].copy())
+
+    def _set(self, dims: GridDims, bbox: tuple[int, int, int, int], crop: np.ndarray) -> None:
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "bbox", bbox)
+        object.__setattr__(self, "crop", _frozen(crop))
+        object.__setattr__(self, "area", int(np.count_nonzero(crop)))
+
+    @classmethod
+    def _from_crop(cls, dims: GridDims, bbox: tuple[int, int, int, int], crop: np.ndarray) -> "BinaryMask":
+        """A mask from a tight box and its crop, which it keeps (no copy)."""
+        mask = cls.__new__(cls)
+        mask._set(dims, bbox, crop)
+        return mask
 
     @classmethod
     def empty(cls, dims: GridDims) -> "BinaryMask":
-        return cls(dims, np.zeros(dims.shape, dtype=bool))
+        return cls._from_crop(dims, (0, 0, 0, 0), np.zeros((0, 0), dtype=bool))
 
     @classmethod
     def full(cls, dims: GridDims) -> "BinaryMask":
-        return cls(dims, np.ones(dims.shape, dtype=bool))
+        return cls._from_crop(dims, (0, dims.height, 0, dims.width), np.ones(dims.shape, dtype=bool))
 
     @classmethod
     def from_flat_indices(cls, dims: GridDims, indices) -> "BinaryMask":
+        """The pixels at row-major flat ``indices``; only the box is allocated."""
         idx = np.asarray(indices, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= dims.npixels):
+        if idx.size == 0:
+            return cls.empty(dims)
+        if idx.min() < 0 or idx.max() >= dims.npixels:
             raise ValueError("flat index out of bounds")
-        flat = np.zeros(dims.npixels, dtype=bool)
-        flat[idx] = True
-        return cls(dims, flat.reshape(dims.shape))
+        rows, cols = np.divmod(idx, dims.width)
+        r0, r1 = int(rows.min()), int(rows.max()) + 1
+        c0, c1 = int(cols.min()), int(cols.max()) + 1
+        crop = np.zeros((r1 - r0, c1 - c0), dtype=bool)
+        crop[rows - r0, cols - c0] = True
+        return cls._from_crop(dims, (r0, r1, c0, c1), crop)
 
-    @cached_property
-    def bbox(self) -> tuple[int, int, int, int]:
-        """Bounding box of the set pixels, see :func:`bounding_box`."""
-        return bounding_box(self.pixels)
-
-    @cached_property
-    def area(self) -> int:
+    @property
+    def pixels(self) -> np.ndarray:
+        """The full (rows, cols) frame, read-only, built anew on each access."""
+        out = np.zeros(self.dims.shape, dtype=bool)
         r0, r1, c0, c1 = self.bbox
-        return int(np.count_nonzero(self.pixels[r0:r1, c0:c1]))
+        out[r0:r1, c0:c1] = self.crop
+        return _frozen(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BinaryMask):
             return NotImplemented
-        return self.dims == other.dims and np.array_equal(self.pixels, other.pixels)
+        return self.dims == other.dims and self.bbox == other.bbox and np.array_equal(self.crop, other.crop)
 
     def __hash__(self):
-        return hash((self.dims, self.pixels.tobytes()))
+        return hash((self.dims, self.bbox, self.crop.tobytes()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,41 +209,68 @@ def rle_encode(mask: BinaryMask) -> list[int]:
     spanning a row boundary are merged, so the encoding is canonical:
     only the leading count may be zero.
 
-    Only the rows of the cached ``bbox`` are scanned: the rows above it
-    join the leading unset run and the rows below it the trailing one.
+    The runs are read from the crop, then placed at their frame offsets.
+    A clear column after each crop row ends the row's runs there, unless
+    the crop spans whole frame rows: then a run that ends a row goes on
+    into the next.
     """
-    r0, r1, _, _ = mask.bbox
-    if r0 == r1:
+    if mask.area == 0:
         return [mask.dims.npixels]
+    r0, _, c0, _ = mask.bbox
+    rows, cols = mask.crop.shape
     width = mask.dims.width
-    band = mask.pixels[r0:r1].ravel()
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(band)) + 1, [band.size]))
-    counts = np.diff(starts).tolist()
-    if band[0]:
-        counts.insert(0, 0)
-    counts[0] += r0 * width
-    below = (mask.dims.height - r1) * width
-    if not band[-1]:
-        counts[-1] += below
-    elif below:
-        counts.append(below)
+    stride = cols + (cols < width)
+    flat = np.zeros(rows * stride + 2, dtype=bool)  # a clear pixel before the first row and after the last
+    flat[1:-1].reshape(rows, stride)[:, :cols] = mask.crop
+    row, col = np.divmod(np.flatnonzero(np.diff(flat)), stride)  # each run's start, then its end
+    counts = np.diff((r0 + row) * width + (c0 + col), prepend=0, append=mask.dims.npixels).tolist()
+    if counts[-1] == 0:
+        counts.pop()
     return counts
 
 
 def rle_decode(counts, dims: GridDims) -> BinaryMask:
     """Inverse of :func:`rle_encode`.
 
-    Accepts zero-length runs anywhere (the alternation simply continues),
-    so any counts list that sums to width * height decodes.
+    The counts must be ints (not bools) that are non-negative and sum to
+    width * height; zero-length runs are accepted anywhere (the
+    alternation simply continues). Only the set pixels are written, into
+    a crop of their box, so the cost follows the number of runs plus the
+    mask's area, not the frame's.
     """
-    counts = [int(c) for c in counts]
-    if any(c < 0 for c in counts):
+    bad = set(map(type, counts)) - {int}
+    if bad:
+        raise ValueError(f"run lengths must be integers, got {', '.join(sorted(t.__name__ for t in bad))}")
+    try:
+        runs = np.fromiter(counts, dtype=np.int64, count=len(counts))
+    except OverflowError:
+        raise ValueError(f"run length out of range for {dims.width}x{dims.height}") from None
+    if runs.size and runs.min() < 0:
         raise ValueError("run lengths must be non-negative")
-    total = sum(counts)
+    total = sum(counts)  # exact: an int64 sum could wrap around
     if total != dims.npixels:
         raise ValueError(
             f"run lengths sum to {total}, expected {dims.npixels} for {dims.width}x{dims.height}"
         )
-    values = np.arange(len(counts)) % 2 == 1
-    flat = np.repeat(values, counts)
-    return BinaryMask(dims, flat.reshape(dims.shape))
+    ends = np.cumsum(runs)
+    starts, ends = (ends - runs)[1::2], ends[1::2]
+    nonempty = ends > starts
+    starts, ends = starts[nonempty], ends[nonempty]
+    if starts.size == 0:
+        return BinaryMask.empty(dims)
+    # cut each set run at row boundaries into pieces [lo, hi) of columns
+    w = dims.width
+    first_row = starts // w
+    n_rows = (ends - 1) // w - first_row + 1
+    run = np.repeat(np.arange(starts.size), n_rows)
+    row = first_row[run] + np.arange(run.size) - (np.cumsum(n_rows) - n_rows)[run]
+    lo = np.maximum(starts[run] - row * w, 0)
+    hi = np.minimum(ends[run] - row * w, w)
+    r0, r1 = int(row[0]), int(row[-1]) + 1
+    c0, c1 = int(lo.min()), int(hi.max())
+    crop = np.zeros((r1 - r0, c1 - c0), dtype=bool)
+    lengths = hi - lo
+    first = (row - r0) * (c1 - c0) + (lo - c0)  # each piece's first pixel in the flat crop
+    pixels = np.repeat(first - (np.cumsum(lengths) - lengths), lengths) + np.arange(int(lengths.sum()))
+    crop.reshape(-1)[pixels] = True
+    return BinaryMask._from_crop(dims, (r0, r1, c0, c1), crop)

@@ -174,10 +174,11 @@ def sow_instance(semantic: SemanticMap) -> Instance | None:
     mask = semantic.class_mask(SOW)
     if mask.area == 0:
         return None
-    ys, xs = np.nonzero(mask.pixels)
+    r0, _, c0, _ = mask.bbox
+    ys, xs = np.nonzero(mask.crop)
     return Instance(
         mask=mask,
-        predicted_center=(float(xs.mean()), float(ys.mean())),
+        predicted_center=(float((xs + c0).mean()), float((ys + r0).mean())),
         cls=CLASS_SOW,
         score=1.0,
     )

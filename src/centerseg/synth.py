@@ -142,13 +142,25 @@ def _coord_grids(dims: GridDims) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ellipse_mask(dims: GridDims, cx: float, cy: float, a: float, b: float, theta: float) -> np.ndarray:
-    xs, ys = _coord_grids(dims)
-    dx = xs - cx
-    dy = ys - cy
+    """Full-frame mask of the pixels inside a rotated ellipse.
+
+    The test runs only over the ellipse's bounding box plus a pixel on
+    each side, so that rounding cannot leave out a pixel; each pixel's
+    arithmetic is the same as over the whole frame.
+    """
+    ex, ey = _ellipse_extent(a, b, theta)
+    x0, x1 = max(0, math.floor(cx - ex) - 1), min(dims.width, math.ceil(cx + ex) + 2)
+    y0, y1 = max(0, math.floor(cy - ey) - 1), min(dims.height, math.ceil(cy + ey) + 2)
+    out = np.zeros(dims.shape, dtype=bool)
+    if x0 >= x1 or y0 >= y1:
+        return out
+    dx = np.arange(x0, x1, dtype=np.float64)[None, :] - cx
+    dy = np.arange(y0, y1, dtype=np.float64)[:, None] - cy
     ca, sa = math.cos(theta), math.sin(theta)
     u = (dx * ca + dy * sa) / a
     v = (-dx * sa + dy * ca) / b
-    return u * u + v * v <= 1.0
+    out[y0:y1, x0:x1] = u * u + v * v <= 1.0
+    return out
 
 
 def _stadium_mask(dims: GridDims, cx: float, cy: float, half_len: float, radius: float, theta: float) -> np.ndarray:

@@ -52,7 +52,7 @@ class Track:
         area = inst.mask.area
         self.top_areas = sorted(self.top_areas + [area], reverse=True)[:TOP_AREA_KEEP]
         r0, r1, c0, c1 = inst.mask.bbox
-        self.occupancy[r0:r1, c0:c1] += inst.mask.pixels[r0:r1, c0:c1]
+        self.occupancy[r0:r1, c0:c1] += inst.mask.crop
 
 
 @dataclass

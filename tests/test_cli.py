@@ -277,7 +277,12 @@ def test_rc2m_flag_matches_config_file(tmp_path, capsys):
 def test_bad_arguments_return_2_and_help_returns_0(tmp_path, capsys):
     manifest = str(tmp_path / "a.json")
     batch = ["segment", "--batch-dir", str(tmp_path)]
+    evaluate = ["eval", "--pred", manifest, "--gt", manifest]
     for argv in (
+        [*batch, "--jobs", "0"],
+        [*batch, "--jobs", "-5"],
+        [*batch, "--jobs", "two"],
+        [*evaluate, "--jobs", "0"],
         ["bench"],
         ["track", manifest, "--out-dir", str(tmp_path / "t"), "--eps", "1"],
         ["segment", "a.ccsm", "a.ccof", "--out", manifest, "--fps", "7"],
@@ -289,5 +294,53 @@ def test_bad_arguments_return_2_and_help_returns_0(tmp_path, capsys):
     ):
         assert main(argv) == 2, argv
         assert "error: " in capsys.readouterr().err, argv
+    assert main([*evaluate, "--jobs", "0"]) == 2
+    assert "argument --jobs: expected an integer of at least 1, got '0'" in capsys.readouterr().err
     assert main(["segment", "--help"]) == 0
     assert "--min-pts" in capsys.readouterr().out
+    (tmp_path / "a.json").write_text(
+        '{"frame":0,"height":3,"instances":[{"class":"piglet","predicted_center":[1.0,1.0],'
+        '"rle":[4,5],"score":0.9}],"width":3}\n'
+    )
+    assert main([*evaluate, "--jobs", "2"]) == 0
+    assert "mAP = 1.000" in capsys.readouterr().out
+
+
+def test_eval_bad_run_length_exit_2_names_file(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text('{"frame":0,"height":3,"instances":[],"width":3}\n')
+    for rle in ('["4","5"]', "[true,8]", "[4.5,5.5]", f"[0,{2**70}]"):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            f'{{"frame":0,"height":3,"instances":[{{"class":"piglet","predicted_center":[1.0,1.0],'
+            f'"rle":{rle},"score":0.9}}],"width":3}}\n'
+        )
+        assert main(["eval", "--pred", str(bad), "--gt", str(good)]) == 2, rle
+        captured = capsys.readouterr()
+        assert f"error: {bad}: byte 0: bad instance manifest: run length" in captured.err, rle
+        assert "mAP" not in captured.out
+
+
+def test_track_failed_write_publishes_nothing_and_leaves_no_temporary_file(tmp_path, capsys):
+    scene = write_scene(tmp_path, "max_speed=2\n")
+    frames = tmp_path / "frames"
+    assert main(["synth", str(scene), "--out-dir", str(frames), "--frames", "2"]) == 0
+    manifests = sorted(str(p) for p in frames.glob("gt_*.json"))
+    out = tmp_path / "tracks"
+    assert main(["track", *manifests, "--out-dir", str(out)]) == 0
+    written = sorted(p.name for p in out.iterdir())
+    assert "track_001_counts.csv" in written and not any(n.endswith(".tmp") for n in written)
+
+    # a directory in the way of one temporary file: that write fails, so no output is published
+    fresh = tmp_path / "fresh"
+    (fresh / "track_001_counts.csv.tmp").mkdir(parents=True)
+    assert main(["track", *manifests, "--out-dir", str(fresh)]) == 1
+    assert "track_001_counts.csv.tmp" in capsys.readouterr().err
+    assert [p.name for p in fresh.iterdir()] == ["track_001_counts.csv.tmp"]
+
+    # a directory in the way of one output: its rename fails, and no temporary file is left
+    (out / "metrics.csv").unlink()
+    (out / "metrics.csv").mkdir()
+    assert main(["track", *manifests, "--out-dir", str(out)]) == 1
+    assert sorted(p.name for p in out.iterdir()) == written
+    assert (out / "metrics.csv").is_dir()

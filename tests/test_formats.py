@@ -138,6 +138,29 @@ def test_manifest_error_reporting():
         manifest_loads("{not json", path="x.json")
     with pytest.raises(FormatError):
         manifest_loads('{"frame": 0}', path="x.json")
+    huge = "1" + "0" * 400  # a JSON integer too large for a float
+    with pytest.raises(FormatError, match="x.json: byte 0: bad instance manifest"):
+        manifest_loads(
+            f'{{"frame":0,"height":3,"instances":[{{"class":"piglet","predicted_center":[{huge},1.0],'
+            f'"rle":[4,5],"score":0.5}}],"width":3}}',
+            path="x.json",
+        )
+
+
+@pytest.mark.parametrize(
+    "rle",
+    ['["4","5"]', "[true,8]", "[8,true]", "[4.5,5.5]", "[4.0,5]", "[null,9]", '"45"',
+     "[10,-1]", "[-1,10]", f"[0,{2**70},{9 - 2**70}]", f"[{2**64}]", "[0,10]", "[]"],
+)
+def test_manifest_rejects_bad_run_lengths(rle):
+    # a 3x3 frame: good runs are JSON integers summing to 9
+    text = (
+        f'{{"frame":0,"height":3,"instances":[{{"class":"piglet","predicted_center":[1.0,1.0],'
+        f'"rle":{rle},"score":0.5}}],"width":3}}'
+    )
+    manifest_loads(text.replace(rle, "[4,5]"))
+    with pytest.raises(FormatError, match="x.json: byte 0: bad instance manifest: run length"):
+        manifest_loads(text, path="x.json")
 
 
 def test_tracks_csv_round_trip():
@@ -174,12 +197,12 @@ def test_pgm_header_and_scaling():
 
 def test_counts_csv():
     counts = np.array([[1, 2], [3, 4]])
-    assert counts_csv_dumps(counts) == "1,2\n3,4\n"
+    assert counts_csv_dumps(counts) == b"1,2\n3,4\n"
 
 
 def counts_csv_by_cells(counts):
-    """The per-cell writer the bounding-box crop replaced."""
-    return "\n".join(",".join(str(int(v)) for v in row) for row in np.asarray(counts)) + "\n"
+    """The per-cell writer the bounding-box crop and the numpy digit writer replaced."""
+    return ("\n".join(",".join(str(int(v)) for v in row) for row in np.asarray(counts)) + "\n").encode()
 
 
 def pgm_over_full_frame(counts):
@@ -195,18 +218,43 @@ def pgm_over_full_frame(counts):
 
 
 UINT32_MAX = int(np.iinfo(np.uint32).max)
+INT64_MIN, INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 SHAPES = st.tuples(st.integers(1, 7), st.integers(1, 7))
 VISIT_COUNTS = arrays(
     np.uint32, SHAPES,
     elements=st.one_of(st.just(0), st.just(UINT32_MAX), st.integers(0, UINT32_MAX)),
 )
+# the last value with n digits and the first with n + 1, from 9 and 10 up
+DIGIT_EDGES = [v for n in range(1, 19) for v in (10**n - 1, 10**n)]
 
 
-@settings(max_examples=200, deadline=None)
+@st.composite
+def sparse_patch_counts(draw):
+    """A frame of up to 40x40 zeros holding one patch of nonzero-prone values."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    signed = draw(st.booleans())
+    lo, hi = (INT64_MIN, INT64_MAX) if signed else (0, UINT32_MAX)
+    r0, c0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+    r1, c1 = draw(st.integers(r0 + 1, h)), draw(st.integers(c0 + 1, w))
+    edges = [v for v in DIGIT_EDGES if v <= hi]
+    value = st.one_of(
+        st.just(0),
+        st.integers(max(lo, -12), 12),
+        st.sampled_from(edges + [-v for v in edges] if signed else edges),
+        st.sampled_from([lo, hi]),
+        st.integers(lo, hi),
+    )
+    counts = np.zeros((h, w), dtype=np.int64 if signed else np.uint32)
+    counts[r0:r1, c0:c1] = draw(arrays(counts.dtype, (r1 - r0, c1 - c0), elements=value))
+    return counts
+
+
+@settings(max_examples=300, deadline=None)
 @given(
     counts=st.one_of(
         VISIT_COUNTS,
         arrays(np.int64, SHAPES, elements=st.one_of(st.just(0), st.integers(-(2**40), 2**40))),
+        sparse_patch_counts(),
     )
 )
 def test_counts_csv_matches_per_cell_writer(counts):

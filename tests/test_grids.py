@@ -1,5 +1,7 @@
 """Grid primitives and the run-length mask codec."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +129,13 @@ def test_masks_are_immutable():
     mask = BinaryMask.empty(GridDims(3, 3))
     with pytest.raises(ValueError):
         mask.pixels[0, 0] = True
+    decoded = rle_decode([3, 4, 1, 2, 10], GridDims(5, 4))
+    assert decoded.bbox == (0, 2, 0, 5)
+    for arr in (decoded.pixels, decoded.crop):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = not arr[0, 0]
+    assert rle_encode(decoded) == [3, 4, 1, 2, 10]
 
 
 def test_mask_area_and_indices():
@@ -165,3 +174,98 @@ def test_bbox_and_area_match_nonzero(w, h, bits):
     expected = (0, 0, 0, 0) if ys.size == 0 else (ys.min(), ys.max() + 1, xs.min(), xs.max() + 1)
     assert mask.bbox == expected
     assert mask.area == int(pixels.sum())
+
+
+def rle_decode_full_frame(counts, dims):
+    """The decoder the crop decoder replaced: one np.repeat over the whole frame."""
+    values = np.arange(len(counts)) % 2 == 1
+    return np.repeat(values, [int(c) for c in counts]).reshape(dims.shape)
+
+
+@st.composite
+def runs_with_zeros(draw):
+    """Dims and counts summing to width * height, zero-length runs anywhere."""
+    dims = GridDims(draw(st.integers(1, 16)), draw(st.integers(1, 16)))
+    cuts = sorted(draw(st.lists(st.integers(0, dims.npixels), max_size=24)))
+    return dims, np.diff([0, *cuts, dims.npixels]).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=runs_with_zeros())
+def test_rle_decode_matches_full_frame_decoder(case):
+    dims, counts = case
+    full = rle_decode_full_frame(counts, dims)
+    mask = rle_decode(counts, dims)
+    assert mask == BinaryMask(dims, full)
+    assert np.array_equal(mask.pixels, full)
+    assert mask.area == int(full.sum())
+    assert rle_encode(mask) == runs_by_scanning(full.ravel())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    w=st.integers(1, 16),
+    h=st.integers(1, 16),
+    picks=st.lists(st.integers(0, 10**6), max_size=40),
+)
+def test_from_flat_indices_matches_zero_fill(w, h, picks):
+    dims = GridDims(w, h)
+    indices = [p % dims.npixels for p in picks]  # unsorted, with repeats
+    full = np.zeros(dims.npixels, dtype=bool)
+    full[indices] = True
+    full = full.reshape(dims.shape)
+    mask = BinaryMask.from_flat_indices(dims, indices)
+    ys, xs = np.nonzero(full)
+    box = (0, 0, 0, 0) if ys.size == 0 else (ys.min(), ys.max() + 1, xs.min(), xs.max() + 1)
+    assert mask.bbox == box
+    assert np.array_equal(mask.crop, full[box[0] : box[1], box[2] : box[3]])
+    assert np.array_equal(mask.pixels, full)
+    assert mask.area == int(full.sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    w=st.integers(1, 12),
+    h=st.integers(1, 12),
+    bits=st.lists(st.booleans(), min_size=144, max_size=144),
+)
+def test_equal_masks_from_every_constructor_are_equal_and_hash_equal(w, h, bits):
+    dims = GridDims(w, h)
+    full = np.array(bits).reshape(12, 12)[:h, :w]
+    masks = [
+        BinaryMask(dims, full),
+        BinaryMask.from_flat_indices(dims, np.flatnonzero(full)),
+        rle_decode(runs_by_scanning(full.ravel()), dims),
+    ]
+    if not full.any():
+        masks.append(BinaryMask.empty(dims))
+    if full.all():
+        masks.append(BinaryMask.full(dims))
+    for other in masks[1:]:
+        assert other == masks[0]
+        assert hash(other) == hash(masks[0])
+        assert other.bbox == masks[0].bbox
+    assert len(set(masks)) == 1
+    flipped = full.copy()
+    flipped[0, 0] = not flipped[0, 0]
+    assert BinaryMask(dims, flipped) != masks[0]
+
+
+def test_decoded_full_scale_instance_holds_its_box_not_the_frame():
+    dims = GridDims(1280, 720)
+    ys, xs = np.mgrid[:720, :1280]
+    blob = ((xs - 900) / 40.0) ** 2 + ((ys - 300) / 25.0) ** 2 <= 1.0  # an 81x51 box
+    counts = rle_encode(BinaryMask(dims, blob))
+    del ys, xs
+    frame_bytes = dims.npixels  # one boolean frame, as the full-frame decoder held and built
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        mask = rle_decode(counts, dims)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mask == BinaryMask(dims, blob)
+    assert mask.crop.nbytes == 81 * 51
+    assert held - before < 2 * mask.crop.nbytes + 4096
+    assert peak - before < frame_bytes // 4
