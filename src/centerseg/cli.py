@@ -30,7 +30,7 @@ from .grids import DimensionMismatch
 from .instances import FrameResult, segment_frame
 from .losses import run_gradient_checks
 from .synth import SceneGenerationError, gen_sequence, gt_instances, perturb
-from .tracking import TrackState, heatmap, track_metrics, update_tracks
+from .tracking import TrackState, track_metrics, update_tracks
 
 
 class UsageError(Exception):
@@ -180,9 +180,9 @@ def _cmd_track(args: argparse.Namespace) -> int:
         metrics = [track_metrics(t, state) for t in tracks]
         stage(out_dir / "metrics.csv").write_text(formats.metrics_csv_dumps(metrics))
         for t in tracks:
-            counts = heatmap(t)
-            stage(out_dir / f"track_{t.track_id:03d}_heatmap.pgm").write_bytes(formats.heatmap_pgm_bytes(counts))
-            stage(out_dir / f"track_{t.track_id:03d}_counts.csv").write_bytes(formats.counts_csv_dumps(counts))
+            name = f"track_{t.track_id:03d}"
+            stage(out_dir / f"{name}_heatmap.pgm").write_bytes(formats.heatmap_pgm_bytes(t.dims, t.box, t.occupancy))
+            stage(out_dir / f"{name}_counts.csv").write_bytes(formats.counts_csv_dumps(t.dims, t.box, t.occupancy))
     print(f"tracked {len(args.manifests)} frames, {len(tracks)} tracks -> {out_dir}")
     return 0
 

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig
-from .grids import GridDims, OffsetMap, SemanticMap, bounding_box, rle_decode, rle_encode
+from .grids import GridDims, OffsetMap, SemanticMap, rle_decode, rle_encode
 from .instances import Instance
 from .synth import NoiseModel, SceneSpec
 from .tracking import TrackMetrics
@@ -34,6 +34,8 @@ SEMANTIC_MAGIC = b"CCSM"
 OFFSET_MAGIC = b"CCOF"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<II")  # width, height after magic+version
+
+MAX_MANIFEST_PIXELS = 2**26  # 8192 x 8192: a manifest's masks are decoded into crops of up to this many pixels
 
 TRACKS_HEADER = ["frame", "track_id", "class", "center_x", "center_y", "area", "paired_iou"]
 METRICS_HEADER = ["track_id", "movement_px", "avg_speed_px_s", "body_pixel_size", "space_usage"]
@@ -137,6 +139,8 @@ def manifest_loads(text: str, path="<memory>") -> tuple[int, GridDims, list[Inst
     try:
         doc = json.loads(text)
         dims = GridDims(int(doc["width"]), int(doc["height"]))
+        if dims.npixels > MAX_MANIFEST_PIXELS:
+            raise FormatError(path, 0, f"{dims.width}x{dims.height} exceeds the {MAX_MANIFEST_PIXELS}-pixel limit")
         frame_id = int(doc["frame"])
         instances = [
             Instance(
@@ -214,59 +218,48 @@ def metrics_csv_loads(text: str, path="<memory>") -> list[tuple]:
     return rows
 
 
-def heatmap_pgm_bytes(counts: np.ndarray) -> bytes:
+def heatmap_pgm_bytes(dims: GridDims, box: tuple[int, int, int, int], counts: np.ndarray) -> bytes:
     """Binary P5 graymap of visit counts, linearly rescaled to max 255.
 
-    Only the bounding box of the nonzero counts is rescaled; the rest of
-    the frame is 0 either way.
+    ``counts`` are the counts over ``box`` ``(row0, row1, col0, col1)``
+    and every cell outside the box is 0; only the box is rescaled.
     """
-    counts = np.asarray(counts)
-    h, w = counts.shape
-    r0, r1, c0, c1 = bounding_box(counts)
-    box = counts[r0:r1, c0:c1]
-    peak = int(box.max()) if box.size else 0
-    scaled = np.zeros((h, w), dtype=np.uint8)
+    r0, r1, c0, c1 = box
+    peak = int(counts.max()) if counts.size else 0
+    scaled = np.zeros(dims.shape, dtype=np.uint8)
     if peak > 0:
-        scaled[r0:r1, c0:c1] = np.rint(box.astype(np.float64) * (255.0 / peak)).astype(np.uint8)
-    return f"P5\n{w} {h}\n255\n".encode() + scaled.tobytes()
+        scaled[r0:r1, c0:c1] = np.rint(counts.astype(np.float64) * (255.0 / peak)).astype(np.uint8)
+    return f"P5\n{dims.width} {dims.height}\n255\n".encode() + scaled.tobytes()
 
 
-def counts_csv_dumps(counts: np.ndarray) -> bytes:
-    """Integer (rows, cols) counts as ASCII CSV bytes, one line per row.
+def counts_csv_dumps(dims: GridDims, box: tuple[int, int, int, int], counts: np.ndarray) -> bytes:
+    """Visit counts as ASCII CSV bytes, one line per frame row.
 
-    Rows outside the bounding box of the nonzero counts are one shared
-    zero line, and the columns outside it constant runs of ``0,``; only
-    the box's cells are formatted, by :func:`_box_csv`.
+    ``counts`` are the uint32 counts over ``box`` ``(row0, row1, col0,
+    col1)`` and every cell outside the box is 0. Rows outside the box
+    are one shared zero line, and the columns outside it constant runs
+    of ``0,``; only the box's cells are formatted, by :func:`_box_csv`.
     """
-    counts = np.asarray(counts)
-    h, w = counts.shape
-    zero_row = b"0," * (w - 1) + b"0\n"
-    r0, r1, c0, c1 = bounding_box(counts)
-    left, right = b"0," * c0, b",0" * (w - c1) + b"\n"
+    r0, r1, c0, c1 = box if counts.size else (0, 0, 0, 0)
+    zero_row = b"0," * (dims.width - 1) + b"0\n"
+    left, right = b"0," * c0, b",0" * (dims.width - c1) + b"\n"
     inner = b""
     if r1 > r0:
-        inner = left + _box_csv(counts[r0:r1, c0:c1])[:-1].replace(b"\n", right + left) + right
-    return b"".join((zero_row * r0, inner, zero_row * (h - r1)))
+        inner = left + _box_csv(counts)[:-1].replace(b"\n", right + left) + right
+    return b"".join((zero_row * r0, inner, zero_row * (dims.height - r1)))
 
 
 def _box_csv(box: np.ndarray) -> bytes:
-    """The cells of a non-empty integer array as CSV lines, each ending in a newline.
+    """The cells of a non-empty uint32 array as CSV lines, each ending in a newline.
 
     Formatted in numpy, with no Python call per cell: each cell's byte
-    width (sign, digits, separator) gives its end in one buffer by a
+    width (digits, separator) gives its end in one buffer by a
     cumulative sum, and the digits are written right to left, one digit
     place at a time, for every cell that still has one.
     """
-    cells = box.ravel()
-    lo, hi = int(cells.min()), int(cells.max())
-    top = max(hi, -lo)
-    neg = cells < 0
-    if lo < 0:
-        cells = cells.astype(np.int64, copy=False)  # a narrower type's minimum would wrap in abs()
-    # magnitudes, in 32 bits when they fit (twice as fast); INT64_MIN wraps to 2**63, its magnitude
-    mag = np.empty(cells.size, dtype=np.uint32 if top < 2**32 else np.uint64)
-    np.absolute(cells, out=mag, casting="unsafe")
-    width = neg + 2  # sign, first digit, separator
+    mag = box.astype(np.uint32).ravel()  # a copy: the digit loop below consumes it
+    top = int(mag.max())
+    width = np.full(mag.size, 2)  # first digit, separator
     place = 10
     while place <= top:
         width += mag >= place
@@ -274,8 +267,6 @@ def _box_csv(box: np.ndarray) -> bytes:
     end = np.cumsum(width)
     buf = np.full(int(end[-1]), ord(","), dtype=np.uint8)
     buf[end[box.shape[1] - 1 :: box.shape[1]] - 1] = ord("\n")
-    if lo < 0:
-        buf[(end - width)[neg]] = ord("-")
     pos = end
     pos -= 2  # each cell's last digit
     while True:

@@ -62,18 +62,6 @@ class GridDims:
         return (p % self.width, p // self.width)
 
 
-def bounding_box(arr: np.ndarray) -> tuple[int, int, int, int]:
-    """Half-open box ``(row0, row1, col0, col1)`` of the nonzero entries of
-    a 2-D array, from two ``any`` reductions; ``(0, 0, 0, 0)`` when there
-    are none."""
-    rows = np.flatnonzero(arr.any(axis=1))
-    if rows.size == 0:
-        return (0, 0, 0, 0)
-    r0, r1 = int(rows[0]), int(rows[-1]) + 1
-    cols = np.flatnonzero(arr[r0:r1].any(axis=0))
-    return (r0, r1, int(cols[0]), int(cols[-1]) + 1)
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class BinaryMask:
     """A set of pixels on a grid, stored as its bounding box and the crop.
@@ -96,8 +84,11 @@ class BinaryMask:
         px = np.asarray(pixels, dtype=bool)
         if px.shape != dims.shape:
             raise ValueError(f"mask shape {px.shape} does not match dims {dims.shape}")
-        r0, r1, c0, c1 = box = bounding_box(px)
-        self._set(dims, box, px[r0:r1, c0:c1].copy())
+        rows = np.flatnonzero(px.any(axis=1))
+        r0, r1 = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
+        cols = np.flatnonzero(px[r0:r1].any(axis=0))
+        c0, c1 = (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
+        self._set(dims, (r0, r1, c0, c1), px[r0:r1, c0:c1].copy())
 
     def _set(self, dims: GridDims, bbox: tuple[int, int, int, int], crop: np.ndarray) -> None:
         object.__setattr__(self, "dims", dims)

@@ -53,8 +53,8 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if not (0.0 <= self.flip_rate < 1.0):
             raise ValueError("flip_rate must lie in [0, 1)")
-        if self.offset_sigma < 0:
-            raise ValueError("offset_sigma must be >= 0")
+        if not 0 <= self.offset_sigma < math.inf:  # NaN fails it too
+            raise ValueError(f"offset_sigma must be finite and >= 0, got {self.offset_sigma}")
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,13 @@ class SceneSpec:
             raise ValueError("n_piglets must be >= 0")
         if self.n_random_occluders < 0:
             raise ValueError("n_random_occluders must be >= 0")
-        if self.max_speed < 0:
-            raise ValueError("max_speed must be >= 0")
+        floats = ("sow_half_length", "sow_radius", "max_speed", "min_center_separation", "central_radius")
+        bounds = {name: getattr(self, name) for name in floats}
+        for name in ("piglet_a", "piglet_b", "occluder_width"):
+            bounds[f"{name}_min"], bounds[f"{name}_max"] = getattr(self, name)
+        for name, value in bounds.items():
+            if not 0 <= value < math.inf:  # NaN fails it too
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         for name in ("positions", "velocities", "axes", "orientations"):
             val = getattr(self, name)
             if val is not None and len(val) != self.n_piglets:

@@ -34,11 +34,8 @@ class Track:
     centers: list[tuple[float, float]] = field(default_factory=list)
     movement: float = 0.0
     top_areas: list[int] = field(default_factory=list)  # descending, at most 5
-    occupancy: np.ndarray | None = None  # per-pixel visit counts
-
-    def __post_init__(self) -> None:
-        if self.occupancy is None:
-            self.occupancy = np.zeros(self.dims.shape, dtype=np.uint32)
+    box: tuple[int, int, int, int] = field(default=(0, 0, 0, 0), init=False)  # union of the masks' boxes
+    occupancy: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), np.uint32), init=False)  # visits over box
 
     def add_record(self, frame_index: int, inst: Instance) -> None:
         if self.frames and frame_index <= self.frames[-1]:
@@ -51,8 +48,13 @@ class Track:
         self.centers.append(inst.predicted_center)
         area = inst.mask.area
         self.top_areas = sorted(self.top_areas + [area], reverse=True)[:TOP_AREA_KEEP]
-        r0, r1, c0, c1 = inst.mask.bbox
-        self.occupancy[r0:r1, c0:c1] += inst.mask.crop
+        (r0, r1, c0, c1), (b0, b1, d0, d1) = inst.mask.bbox, self.box
+        box = (min(r0, b0), max(r1, b1), min(c0, d0), max(c1, d1)) if self.occupancy.size else inst.mask.bbox
+        if box != self.box:  # grow to the union; on the first record the old box is empty and pastes nothing
+            grown = np.zeros((box[1] - box[0], box[3] - box[2]), dtype=np.uint32)
+            grown[b0 - box[0] : b1 - box[0], d0 - box[2] : d1 - box[2]] = self.occupancy
+            self.box, self.occupancy = box, grown
+        self.occupancy[r0 - box[0] : r1 - box[0], c0 - box[2] : c1 - box[2]] += inst.mask.crop
 
 
 @dataclass
@@ -72,8 +74,10 @@ class TrackState:
     rows: list[tuple] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.fps <= 0:
+        if not self.fps > 0:  # NaN fails each bound
             raise ValueError("fps must be > 0")
+        if not self.min_iou >= 0:
+            raise ValueError("min_iou must be >= 0")
 
     def all_tracks(self) -> list[Track]:
         tracks = list(self.active.values()) + self.closed
@@ -91,7 +95,7 @@ def pair_frames(
     index. ``new`` are unpaired current indices, ``dropped`` unpaired
     previous indices, both ascending.
     """
-    if min_iou < 0:
+    if not min_iou >= 0:  # NaN too: no IoU would ever fall to it
         raise ValueError("min_iou must be >= 0")
     m, k = len(prev), len(cur)
     pairs: list[tuple[int, int, float]] = []
@@ -204,5 +208,8 @@ def track_metrics(track: Track, state: TrackState, pen_mask=None) -> TrackMetric
 
 
 def heatmap(track: Track) -> np.ndarray:
-    """Per-pixel visit counts of a track (a writable copy)."""
-    return track.occupancy.copy()
+    """Per-pixel visit counts of a track over the full frame (a new array)."""
+    counts = np.zeros(track.dims.shape, dtype=np.uint32)
+    r0, r1, c0, c1 = track.box
+    counts[r0:r1, c0:c1] = track.occupancy
+    return counts

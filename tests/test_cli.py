@@ -321,6 +321,35 @@ def test_eval_bad_run_length_exit_2_names_file(tmp_path, capsys):
         assert "mAP" not in captured.out
 
 
+def test_eval_oversized_header_exit_2_names_file(tmp_path, run_capped):
+    huge = tmp_path / "huge.json"
+    huge.write_text(
+        '{"frame":0,"height":100000,"instances":[{"class":"piglet","predicted_center":[1.0,1.0],'
+        '"rle":[0,10000000000],"score":0.9}],"width":100000}\n'
+    )
+    args = ["eval", "--pred", str(huge), "--gt", str(huge)]
+    done = run_capped(f"import sys\nfrom centerseg.cli import main\nsys.exit(main({args!r}))\n")
+    assert done.returncode == 2, done.stderr
+    assert f"error: {huge}: byte 0: 100000x100000 exceeds" in done.stderr
+
+
+SCENE_FLOAT_KEYS = (
+    "sow_half_length", "sow_radius", "piglet_a_min", "piglet_a_max", "piglet_b_min", "piglet_b_max",
+    "occluder_width_min", "occluder_width_max", "max_speed", "min_center_separation", "flip_rate", "offset_sigma",
+)
+
+
+def test_non_finite_scene_values_exit_2_names_file(tmp_path, capsys):
+    for sow in ("on", "off"):
+        for key in SCENE_FLOAT_KEYS:
+            for value in ("nan", "inf"):
+                scene = write_scene(tmp_path, f"sow={sow}\n{key}={value}\n")
+                out = tmp_path / "frames"
+                assert main(["synth", str(scene), "--out-dir", str(out)]) == 2, (sow, key, value)
+                assert f"error: {scene}: byte 0: {key} must" in capsys.readouterr().err, (sow, key, value)
+                assert not out.exists()
+
+
 def test_track_failed_write_publishes_nothing_and_leaves_no_temporary_file(tmp_path, capsys):
     scene = write_scene(tmp_path, "max_speed=2\n")
     frames = tmp_path / "frames"

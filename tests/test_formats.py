@@ -163,6 +163,26 @@ def test_manifest_rejects_bad_run_lengths(rle):
         manifest_loads(text, path="x.json")
 
 
+def test_manifest_header_bounds_the_frame(run_capped):
+    manifest_loads('{"frame":0,"height":8192,"instances":[],"width":8192}')
+    with pytest.raises(FormatError, match="x.json: byte 0: 8193x8192 exceeds"):
+        manifest_loads('{"frame":0,"height":8192,"instances":[],"width":8193}', path="x.json")
+    # one run over a 100000x100000 frame: rejected before any run is decoded
+    huge = (
+        '{"frame":0,"height":100000,"instances":[{"class":"piglet","predicted_center":[1.0,1.0],'
+        '"rle":[0,10000000000],"score":0.9}],"width":100000}'
+    )
+    done = run_capped(
+        "from centerseg.formats import FormatError, manifest_loads\n"
+        "try:\n"
+        f"    manifest_loads({huge!r}, path='huge.json')\n"
+        "except FormatError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("huge.json: byte 0: 100000x100000 exceeds"), done.stdout
+
+
 def test_tracks_csv_round_trip():
     rows = [
         (0, 0, "piglet", 3.5, 4.25, 25, None),
@@ -188,16 +208,16 @@ def test_metrics_csv_round_trip():
 
 def test_pgm_header_and_scaling():
     counts = np.array([[0, 5], [10, 10]], dtype=np.uint32)
-    data = heatmap_pgm_bytes(counts)
+    data = heatmap_pgm_bytes(GridDims(2, 2), (0, 2, 0, 2), counts)
     assert data.startswith(b"P5\n2 2\n255\n")
     assert list(data[-4:]) == [0, 128, 255, 255]
-    blank = heatmap_pgm_bytes(np.zeros((2, 2), dtype=np.uint32))
+    blank = heatmap_pgm_bytes(GridDims(2, 2), (0, 0, 0, 0), np.zeros((0, 0), dtype=np.uint32))
     assert list(blank[-4:]) == [0, 0, 0, 0]
 
 
 def test_counts_csv():
-    counts = np.array([[1, 2], [3, 4]])
-    assert counts_csv_dumps(counts) == b"1,2\n3,4\n"
+    counts = np.array([[1, 2], [3, 4]], dtype=np.uint32)
+    assert counts_csv_dumps(GridDims(3, 3), (1, 3, 0, 2), counts) == b"0,0,0\n1,2,0\n3,4,0\n"
 
 
 def counts_csv_by_cells(counts):
@@ -217,68 +237,86 @@ def pgm_over_full_frame(counts):
     return f"P5\n{w} {h}\n255\n".encode() + scaled.tobytes()
 
 
+def tight_box(counts):
+    rows, cols = np.nonzero(counts)
+    if rows.size == 0:
+        return (0, 0, 0, 0)
+    return (int(rows.min()), int(rows.max()) + 1, int(cols.min()), int(cols.max()) + 1)
+
+
+def writer_args(counts, box):
+    """A track writer's arguments for full-frame ``counts`` given over ``box``."""
+    r0, r1, c0, c1 = box
+    return GridDims(counts.shape[1], counts.shape[0]), box, counts[r0:r1, c0:c1]
+
+
+def boxes_to_try(counts):
+    return [tight_box(counts), (0, counts.shape[0], 0, counts.shape[1])]
+
+
 UINT32_MAX = int(np.iinfo(np.uint32).max)
-INT64_MIN, INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 SHAPES = st.tuples(st.integers(1, 7), st.integers(1, 7))
 VISIT_COUNTS = arrays(
     np.uint32, SHAPES,
     elements=st.one_of(st.just(0), st.just(UINT32_MAX), st.integers(0, UINT32_MAX)),
 )
 # the last value with n digits and the first with n + 1, from 9 and 10 up
-DIGIT_EDGES = [v for n in range(1, 19) for v in (10**n - 1, 10**n)]
+DIGIT_EDGES = [v for n in range(1, 10) for v in (10**n - 1, 10**n) if v <= UINT32_MAX]
 
 
 @st.composite
 def sparse_patch_counts(draw):
-    """A frame of up to 40x40 zeros holding one patch of nonzero-prone values."""
+    """A frame of up to 40x40 zeros holding one patch of nonzero-prone visit counts."""
     h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
-    signed = draw(st.booleans())
-    lo, hi = (INT64_MIN, INT64_MAX) if signed else (0, UINT32_MAX)
     r0, c0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
     r1, c1 = draw(st.integers(r0 + 1, h)), draw(st.integers(c0 + 1, w))
-    edges = [v for v in DIGIT_EDGES if v <= hi]
     value = st.one_of(
-        st.just(0),
-        st.integers(max(lo, -12), 12),
-        st.sampled_from(edges + [-v for v in edges] if signed else edges),
-        st.sampled_from([lo, hi]),
-        st.integers(lo, hi),
+        st.just(0), st.integers(0, 12), st.sampled_from(DIGIT_EDGES), st.just(UINT32_MAX), st.integers(0, UINT32_MAX),
     )
-    counts = np.zeros((h, w), dtype=np.int64 if signed else np.uint32)
+    counts = np.zeros((h, w), dtype=np.uint32)
     counts[r0:r1, c0:c1] = draw(arrays(counts.dtype, (r1 - r0, c1 - c0), elements=value))
     return counts
 
 
+@st.composite
+def counts_and_box(draw):
+    """Visit counts and a box that holds every nonzero count: the tight box
+    grown by a random margin on each side (an empty one when all are 0)."""
+    counts = draw(st.one_of(VISIT_COUNTS, sparse_patch_counts()))
+    (h, w), (r0, r1, c0, c1) = counts.shape, tight_box(counts)
+    if r1 == r0:
+        r1 = c1 = 0
+    rows = (draw(st.integers(0, r0)), draw(st.integers(r1, h)))
+    return counts, (*rows, draw(st.integers(0, c0)), draw(st.integers(c1, w)))
+
+
 @settings(max_examples=300, deadline=None)
-@given(
-    counts=st.one_of(
-        VISIT_COUNTS,
-        arrays(np.int64, SHAPES, elements=st.one_of(st.just(0), st.integers(-(2**40), 2**40))),
-        sparse_patch_counts(),
-    )
-)
-def test_counts_csv_matches_per_cell_writer(counts):
-    assert counts_csv_dumps(counts) == counts_csv_by_cells(counts)
+@given(case=counts_and_box())
+def test_counts_csv_matches_per_cell_writer(case):
+    counts, box = case
+    for b in boxes_to_try(counts) + [box]:
+        assert counts_csv_dumps(*writer_args(counts, b)) == counts_csv_by_cells(counts), b
 
 
 @settings(max_examples=200, deadline=None)
-@given(counts=VISIT_COUNTS)
-def test_pgm_matches_full_frame_writer(counts):
-    assert heatmap_pgm_bytes(counts) == pgm_over_full_frame(counts)
+@given(case=counts_and_box())
+def test_pgm_matches_full_frame_writer(case):
+    counts, box = case
+    for b in boxes_to_try(counts) + [box]:
+        assert heatmap_pgm_bytes(*writer_args(counts, b)) == pgm_over_full_frame(counts), b
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (5, 6)])
 def test_track_writers_on_all_zero_and_single_cells(shape):
     zeros = np.zeros(shape, dtype=np.uint32)
-    assert counts_csv_dumps(zeros) == counts_csv_by_cells(zeros)
-    assert heatmap_pgm_bytes(zeros) == pgm_over_full_frame(zeros)
+    cases = [zeros]
     for r, c in np.ndindex(*shape):
-        one = zeros.copy()
-        one[r, c] = UINT32_MAX
-        assert counts_csv_dumps(one) == counts_csv_by_cells(one)
-        assert heatmap_pgm_bytes(one) == pgm_over_full_frame(one)
-        neg = one.astype(np.int64) * -1
-        assert counts_csv_dumps(neg) == counts_csv_by_cells(neg)
+        cases.append(zeros.copy())
+        cases[-1][r, c] = UINT32_MAX
+    for counts in cases:
+        for box in boxes_to_try(counts):
+            assert counts_csv_dumps(*writer_args(counts, box)) == counts_csv_by_cells(counts)
+            assert heatmap_pgm_bytes(*writer_args(counts, box)) == pgm_over_full_frame(counts)
 
 
 def test_config_round_trip():

@@ -1,5 +1,7 @@
 """Frame pairing, track bookkeeping, and the monitoring metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -266,5 +268,34 @@ def test_cropped_occupancy_matches_full_frame_scatter(w, h, frames):
         mask = BinaryMask(dims, pixels)
         track.add_record(i, Instance(mask=mask, predicted_center=(0.0, 0.0), cls="piglet", score=1.0))
         expected[mask.pixels] += 1
+        counts = heatmap(track)
+        assert np.array_equal(counts, expected)
+        rows, cols = np.nonzero(counts)
+        assert track.box == (rows.min(), rows.max() + 1, cols.min(), cols.max() + 1)
+        r0, r1, c0, c1 = track.box
         assert track.occupancy.dtype == np.uint32
-        assert np.array_equal(track.occupancy, expected)
+        assert np.array_equal(track.occupancy, counts[r0:r1, c0:c1])
+
+
+def test_occupancy_memory_follows_the_visited_area():
+    dims = GridDims(1280, 720)
+    # a 100x100 block moving 4 px a frame: ten masks, 136x100 pixels visited
+    records = [block_inst(200 + 4 * i, 300, 100, 100, dims=dims) for i in range(10)]
+    tracemalloc.start()
+    try:
+        track = Track(track_id=0, cls="piglet", dims=dims)
+        for i, inst in enumerate(records):
+            track.add_record(i, inst)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20, held  # a full-frame uint32 array alone is 3.7 MB
+    assert track.box == (300, 400, 200, 336)
+
+
+@pytest.mark.parametrize("field", ["fps", "min_iou"])
+def test_track_state_rejects_nan(field):
+    with pytest.raises(ValueError, match=field):
+        TrackState(dims=DIMS, **{field: float("nan")})
+    with pytest.raises(ValueError, match="min_iou"):
+        pair_frames([block_inst(0, 0, 2, 2)], [block_inst(0, 0, 2, 2)], min_iou=float("nan"))
