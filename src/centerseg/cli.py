@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: segment, track, eval, gradcheck, synth. Exit codes: 0
-success, 1 runtime failure, 2 malformed input or bad arguments (argparse's
-rejections too; ``--help`` exits 0). Each command has flags for only the
-pipeline config keys it reads; its ``--config`` file may set any key.
+success, 1 runtime failure (running out of memory too), 2 malformed
+input or bad arguments (argparse's rejections too; ``--help`` exits 0).
+Each command has flags for only the pipeline config keys it reads; its
+``--config`` file may set any key.
 ``segment --batch-dir`` runs frames on --jobs worker threads (at least
 1; by default min(8, cpu_count)), names a failing frame by its ``.ccsm``
 path and then publishes no manifest. ``track`` reads each manifest just
@@ -124,8 +125,8 @@ def _cmd_segment(args: argparse.Namespace) -> int:
         offsets = formats.read_offsets(off_path)
         try:
             result = segment_frame(semantic, offsets, cfg)
-        except DimensionMismatch as exc:
-            raise DimensionMismatch(f"{sem_path}: {exc}") from exc
+        except (DimensionMismatch, MemoryError) as exc:
+            raise type(exc)(f"{sem_path}: {str(exc) or 'out of memory'}") from exc
         formats.write_manifest(out_path, frame_id, semantic.dims, result.instances)
         return result.timings
 
@@ -302,7 +303,7 @@ def main(argv=None) -> int:
     except (formats.FormatError, DimensionMismatch, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, SceneGenerationError) as exc:
+    except (ValueError, OSError, MemoryError, SceneGenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,12 +17,16 @@ Roeloffzen (ISAAC 2017). Points are sorted into square cells of side
 just under eps/sqrt(2), so every neighbor of a point lies in the 5x5
 block of cells around its own. Count: a cell of at least ``min_pts``
 points whose bounding box fits in the ball is all core; other points
-add or skip whole neighbor cells by bounding-box bounds and test single
-pairs only against partly covered cells. Connect: union-find joins core
-cells that hold a core pair within ``eps``; border points then take the
-lowest cluster among their core neighbors. Float rounding is monotone,
-so every bounding-box shortcut agrees with the per-pair float test;
-where a bound cannot decide, the pairs are tested.
+add or skip whole neighbor cells by bounding-box bounds. A point still
+undecided splits each partly covered cell into its 2x2 sub-cells of
+half the side and adds or skips those by their own boxes; it tests
+single pairs only against sub-cells still partly covered, and only if
+it is still undecided. Connect: union-find joins core cells that hold
+a core pair within ``eps``; border points in the neighbor cells of core
+cells then take the lowest cluster among their core neighbors. Float
+rounding is monotone, so every bounding-box shortcut agrees with the
+per-pair float test, whatever the boxes; where a bound cannot decide,
+the pairs are tested.
 """
 
 from __future__ import annotations
@@ -109,19 +113,22 @@ _QUERY_BLOCK = 1 << 13
 
 
 def _axis_cells(v: np.ndarray, side: float, gap: float) -> np.ndarray:
-    """Integer cell coordinates along one axis, at most 2**30 apart from each other.
+    """Integer sub-cell coordinates along one axis; ``>> 1`` gives the cell,
+    and cells are at most 2**30 apart from each other.
 
-    Normally ``floor((v - min) / side)``. When the range is too wide for
-    that, each run of sorted values with no gap wider than ``gap`` gets
-    its own origin and the runs are packed three cells apart. Either way
-    values within ``gap / 2`` of each other end up at most two cells
-    apart, and no float outside the int64 range is cast.
+    Normally ``floor((v - min) / (side / 2))``: two sub-cells per cell, and
+    ``>> 1`` of it is ``floor((v - min) / side)``. When the range is too
+    wide for that, each run of sorted values with no gap wider than
+    ``gap`` gets its own origin, the runs are packed three cells apart,
+    and each cell is one sub-cell. Either way values within ``gap / 2``
+    of each other end up at most two cells apart, and no float outside
+    the int64 range is cast.
     """
     if v.size == 0:
         return np.zeros(0, dtype=np.int64)
     lo = v.min()
     if (v.max() - lo) / side < _AXIS_CELLS:
-        return np.floor((v - lo) / side).astype(np.int64)
+        return np.floor((v - lo) / (side / 2)).astype(np.int64)
     order = np.argsort(v, kind="stable")
     s = v[order]
     opens = np.r_[True, s[1:] - s[:-1] > gap]
@@ -129,7 +136,7 @@ def _axis_cells(v: np.ndarray, side: float, gap: float) -> np.ndarray:
     local = np.floor(np.minimum((s - s[opens][run]) / side, _AXIS_CELLS))
     width = np.maximum.reduceat(local, np.flatnonzero(opens)) + 3
     out = np.empty(v.size, dtype=np.int64)
-    out[order] = (np.cumsum(width) - width)[run] + local
+    out[order] = 2 * ((np.cumsum(width) - width)[run] + local)
     return out
 
 
@@ -138,6 +145,12 @@ def _ragged(first: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray
     end = np.cumsum(size)
     k = np.repeat(np.arange(size.size), size)
     return k, np.arange(end[-1] if end.size else 0) + np.repeat(first - (end - size), size)
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of equal values in sorted non-negative ``keys``."""
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return starts, np.diff(np.r_[starts, keys.size])
 
 
 def _boxes(x: np.ndarray, y: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -154,18 +167,18 @@ def _boxes(x: np.ndarray, y: np.ndarray, starts: np.ndarray) -> np.ndarray:
     )
 
 
-def _point_boxes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.stack([x, x, y, y])
+def _point_boxes(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    return x, x, y, y
 
 
-def _bounds(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _bounds(a, b) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper bounds on ``dx*dx + dy*dy`` between boxes ``a`` and ``b``.
 
-    Float subtraction, squaring and addition are monotone, so for any
-    point in ``a`` and any point in ``b`` the float value of the pair
-    test lies within the two bounds: ``lower > r*r`` rules every pair
-    out and ``upper <= r*r`` rules every pair in, exactly as testing the
-    pairs one by one would.
+    Each box is the four rows (xlo, xhi, ylo, yhi). Float subtraction,
+    squaring and addition are monotone, so for any point in ``a`` and
+    any point in ``b`` the float value of the pair test lies within the
+    two bounds: ``lower > r*r`` rules every pair out and ``upper <= r*r``
+    rules every pair in, exactly as testing the pairs one by one would.
     """
     with np.errstate(over="ignore"):
         nx = np.maximum(np.maximum(b[0] - a[1], a[0] - b[1]), 0.0)
@@ -220,12 +233,15 @@ class GridIndex:
 
     Cells have side just under ``radius / sqrt(2)``, so every point within
     ``radius`` of a point lies in the 5x5 block of cells around its own.
-    The points are kept sorted by cell (``x``, ``y``), ascending by index
-    within a cell, and ``order`` maps sorted positions back to indices.
-    Each cell has a bounding box, a row in ``nbr`` listing its 25
-    neighbor cells (-1 where empty) and in ``reach`` the number of points
-    in those cells. A point with a non-finite coordinate
-    is within ``radius`` of no point, itself included, and is left out.
+    Each cell is split into up to 2x2 sub-cells of half its side. The
+    points are kept sorted by cell and, within a cell, by sub-cell (``x``,
+    ``y``), in no set order within a sub-cell, and ``order`` maps sorted
+    positions back to indices. Cells and sub-cells each have a start, a
+    count and a bounding box; ``sub_first`` and ``sub_count`` give each
+    cell's run of sub-cells. ``neighbors`` lists a cell's 25 neighbor
+    cells and ``reach`` the number of points in them. A point with a
+    non-finite coordinate is within ``radius`` of no point, itself
+    included, and is left out.
     """
 
     def __init__(self, points, radius: float):
@@ -238,34 +254,55 @@ class GridIndex:
         finite = np.flatnonzero(np.isfinite(pts).all(axis=1))
         side = self.radius / math.sqrt(2.0) * _SHRINK
         with np.errstate(over="ignore"):
-            kx = _axis_cells(pts[finite, 0], side, 2.0 * self.radius)
-            ky = _axis_cells(pts[finite, 1], side, 2.0 * self.radius)
-        span = int(ky.max(initial=0)) + 2 * _REACH + 1
-        keys = (kx + _REACH) * span + (ky + _REACH)
-        by_cell = np.argsort(keys, kind="stable")
-        keys = keys[by_cell]
+            fx = _axis_cells(pts[finite, 0], side, 2.0 * self.radius)
+            fy = _axis_cells(pts[finite, 1], side, 2.0 * self.radius)
+        span = int(fy.max(initial=0) >> 1) + 2 * _REACH + 1
+        # the cell key in the top bits and the sub-cell below it: sorting by
+        # it keeps every cell, and every sub-cell within it, contiguous
+        fine = (((fx >> 1) + _REACH) * span + ((fy >> 1) + _REACH)) << 2 | (fx & 1) << 1 | (fy & 1)
+        by_cell = np.argsort(fine)
+        fine = fine[by_cell]
         self.order = finite[by_cell]
         self.x = pts[self.order, 0]
         self.y = pts[self.order, 1]
-        self.starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]) if keys.size else keys
-        self.counts = np.diff(np.r_[self.starts, keys.size])
+        self.sub_starts, self.sub_counts = _runs(fine)
+        self.sub_box = _boxes(self.x, self.y, self.sub_starts)
+        sub_keys = fine[self.sub_starts] >> 2
+        self.sub_first, self.sub_count = _runs(sub_keys)
+        self.cell_keys = sub_keys[self.sub_first]
+        self.starts = self.sub_starts[self.sub_first]
+        self.counts = np.diff(np.r_[self.starts, fine.size])
         self.cell_of = np.repeat(np.arange(self.starts.size), self.counts)
         self.box = _boxes(self.x, self.y, self.starts)
-        cell_keys = keys[self.starts]
-        want = cell_keys[:, None] + (_STEPS[:, None] * span + _STEPS[None, :]).ravel()
-        space = (int(kx.max(initial=0)) + 2 * _REACH + 1) * span
-        if space <= _TABLE_CELLS * max(keys.size, 1024):
-            table = np.full(space, -1)
-            table[cell_keys] = np.arange(cell_keys.size)
-            self.nbr = table[want]
-        else:
-            at = np.searchsorted(cell_keys, want).clip(max=max(cell_keys.size - 1, 0))
-            self.nbr = np.where(cell_keys[at] == want, at, -1) if cell_keys.size else want
-        # points in all 25 neighbor cells; an index of -1 picks the trailing 0
-        self.reach = np.r_[self.counts, 0][self.nbr].sum(axis=1)
+        self._steps = (_STEPS[:, None] * span + _STEPS[None, :]).ravel()
+        space = (int(fx.max(initial=0) >> 1) + 2 * _REACH + 1) * span
+        self._table = None
+        if space <= _TABLE_CELLS * max(fine.size, 1024):
+            self._table = np.full(space, -1, dtype=np.int32)
+            self._table[self.cell_keys] = np.arange(self.cell_keys.size)
 
     def __len__(self) -> int:
         return self.size
+
+    def _cell_at(self, keys: np.ndarray) -> np.ndarray:
+        """The cell with each key, -1 where there is none."""
+        if self._table is not None:
+            return self._table[keys]
+        at = np.searchsorted(self.cell_keys, keys).clip(max=self.cell_keys.size - 1)
+        return np.where(self.cell_keys[at] == keys, at, -1)
+
+    def neighbors(self, cells: np.ndarray) -> np.ndarray:
+        """Row per cell of its 25 neighbor cells, itself included, -1 where empty."""
+        return self._cell_at(self.cell_keys[cells][:, None] + self._steps)
+
+    @cached_property
+    def reach(self) -> np.ndarray:
+        """Points in each cell's 25 neighbor cells."""
+        counts = np.r_[self.counts, 0]  # an index of -1 picks the trailing 0
+        total = np.zeros(self.counts.size, dtype=np.int64)
+        for step in self._steps:
+            total += counts[self._cell_at(self.cell_keys + step)]
+        return total
 
     def tight(self, box: np.ndarray) -> np.ndarray:
         """Whether every pair of points inside each box is within the radius."""
@@ -273,9 +310,23 @@ class GridIndex:
 
     def rows(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(k, cell)``: sorted position ``q[k]`` against each of its neighbor cells."""
-        nbr = self.nbr[self.cell_of[q]]
+        nbr = self.neighbors(self.cell_of[q])
         k, col = np.nonzero(nbr >= 0)
         return k, nbr[k, col]
+
+    def _cover(self, n: int, k, qx, qy, boxes, sizes, at):
+        """Add or skip whole boxes by bounds: query ``k`` in ``range(n)``,
+        at ``(qx, qy)``, against box ``at`` of ``boxes``, which holds
+        ``sizes[at]`` points. Returns per query the points in the boxes
+        wholly within its ball and in the boxes that reach it at all, and
+        which rows are partly covered."""
+        lower, upper = _bounds(_point_boxes(qx, qy), boxes.take(at, axis=1))
+        full = upper <= self.r2
+        near = lower <= self.r2
+        size = sizes[at]
+        low = np.bincount(k, size * full, minlength=n).astype(np.int64)
+        high = np.bincount(k, size * near, minlength=n).astype(np.int64)
+        return low, high, near & ~full
 
     def counts_within(self, at_least: int | None = None) -> np.ndarray:
         """Neighbor count of each sorted position, itself included.
@@ -283,32 +334,43 @@ class GridIndex:
         Exact without ``at_least``. With it, a count is refined only until
         it decides ``count >= at_least``, which the result then answers
         exactly: a cell of at least ``at_least`` points whose box fits in
-        the ball needs no work, other points add or skip whole neighbor
-        cells by bounding-box bounds, and single pairs are tested only
-        for points still undecided, against partly covered cells.
+        the ball needs no work, and so does a cell whose 25 neighbor cells
+        hold fewer. Other points add or skip whole neighbor cells by
+        bounding-box bounds. Points still undecided split each partly
+        covered cell into its sub-cells and add or skip those by their
+        own boxes; single pairs are tested only for points undecided
+        after that, against partly covered sub-cells.
         """
         out = self.counts[self.cell_of]
         if at_least is None:
             todo = np.arange(out.size)
+
+            def undecided(low, high):
+                return high > low
         else:
-            dense = self.tight(self.box) & (self.counts >= at_least)
+            dense = self.counts >= at_least
+            dense[dense] = self.tight(self.box[:, dense])
             todo = np.flatnonzero(~(dense | (self.reach < at_least))[self.cell_of])
+
+            def undecided(low, high):
+                return (low < at_least) & (high >= at_least)
+
         for lo in range(0, todo.size, _QUERY_BLOCK):
             q = todo[lo : lo + _QUERY_BLOCK]
             k, cell = self.rows(q)
             qx, qy = self.x[q][k], self.y[q][k]
-            lower, upper = _bounds(_point_boxes(qx, qy), self.box[:, cell])
-            full = upper <= self.r2
-            part = (lower <= self.r2) & ~full
-            low = np.bincount(k[full], self.counts[cell[full]], minlength=q.size).astype(np.int64)
-            high = low + np.bincount(k[part], self.counts[cell[part]], minlength=q.size).astype(np.int64)
-            open_ = high > low if at_least is None else (low < at_least) & (high >= at_least)
-            out[q] = low
-            test = part & open_[k]
-            k, cell = k[test], cell[test]
-            tests = _pair_tests(qx[test], qy[test], self.starts[cell], self.counts[cell], self.x, self.y, self.r2)
+            low, high, part = self._cover(q.size, k, qx, qy, self.box, self.counts, cell)
+            split = part & undecided(low, high)[k]
+            j, sub = _ragged(self.sub_first[cell[split]], self.sub_count[cell[split]])
+            k, qx, qy = k[split][j], qx[split][j], qy[split][j]
+            inside, near, part = self._cover(q.size, k, qx, qy, self.sub_box, self.sub_counts, sub)
+            low, high = low + inside, low + near
+            test = part & undecided(low, high)[k]
+            k, sub = k[test], sub[test]
+            tests = _pair_tests(qx[test], qy[test], self.sub_starts[sub], self.sub_counts[sub], self.x, self.y, self.r2)
             for i, _, hit in tests:
-                np.add.at(out, q[k[i[hit]]], 1)
+                low += np.bincount(k[i[hit]], minlength=q.size)
+            out[q] = low
         return out
 
     def unsorted(self, values: np.ndarray, fill) -> np.ndarray:
@@ -371,7 +433,7 @@ class _CoreCells:
         self.y = index.y[at]
         per_cell = np.bincount(index.cell_of[at], minlength=index.counts.size)
         self.cells = np.flatnonzero(per_cell)
-        self.slot = np.full(index.counts.size, -1)
+        self.slot = np.full(index.counts.size + 1, -1)  # an index of -1 picks the trailing -1
         self.slot[self.cells] = np.arange(self.cells.size)
         self.size = per_cell[self.cells]
         self.first = np.cumsum(self.size) - self.size
@@ -392,15 +454,15 @@ def _connect(index: GridIndex, cores: _CoreCells) -> np.ndarray:
     """
     r2 = index.r2
     parent = np.arange(len(index))
-    rep = cores.ids[cores.first]
+    rep = np.minimum.reduceat(cores.ids, cores.first)  # the lowest core index of each cell
     joined = cores.tight[cores.own]
     parent[cores.ids[joined]] = rep[cores.own[joined]]
 
     a = np.repeat(np.arange(cores.cells.size), _FORWARD.size)
-    b = cores.slot[index.nbr[cores.cells][:, _FORWARD]].ravel()
+    b = cores.slot[index.neighbors(cores.cells)[:, _FORWARD]].ravel()
     loose = np.flatnonzero(~cores.tight)
     a, b = np.r_[a[b >= 0], loose], np.r_[b[b >= 0], loose]
-    near = _bounds(cores.box[:, a], cores.box[:, b])[0] <= r2
+    near = _bounds(cores.box.take(a, axis=1), cores.box.take(b, axis=1))[0] <= r2
     a, b = a[near], b[near]
     both = cores.tight[a] & cores.tight[b]
 
@@ -422,7 +484,7 @@ def _connect(index: GridIndex, cores: _CoreCells) -> np.ndarray:
         take = max(1, int(np.searchsorted(np.cumsum(cores.size[a] * cores.size[b]), 4 * _PAIR_BLOCK)))
         k, q = _ragged(first[a[:take]], cores.size[a[:take]])
         cell = b[:take][k]
-        near = _bounds(_point_boxes(x[q], y[q]), cores.box[:, cell])[0] <= r2
+        near = _bounds(_point_boxes(x[q], y[q]), cores.box.take(cell, axis=1))[0] <= r2
         q, cell = q[near], cell[near]
         for i, j, hit in _pair_tests(x[q], y[q], first[cell], cores.size[cell], x, y, r2):
             _union(parent, cores.ids[q[i[hit]]], cores.ids[j[hit]])
@@ -431,10 +493,15 @@ def _connect(index: GridIndex, cores: _CoreCells) -> np.ndarray:
 
 
 def _border(index: GridIndex, core: np.ndarray, cores: _CoreCells, root: np.ndarray):
-    """Non-core sorted positions with a core neighbor, and the lowest root among those."""
+    """Non-core sorted positions with a core neighbor, and the lowest root among those.
+
+    Only points in the neighbor cells of a cell with cores can have one.
+    """
     r2 = index.r2
     cell_root = np.minimum.reduceat(root, cores.first)
-    todo = np.flatnonzero(~core)
+    near = np.zeros(index.counts.size + 1, dtype=bool)
+    near[index.neighbors(cores.cells)] = True  # -1 marks the trailing slot
+    todo = np.flatnonzero(~core & near[index.cell_of])
     best = np.full(todo.size, len(index))
     for lo in range(0, todo.size, _QUERY_BLOCK):
         q = todo[lo : lo + _QUERY_BLOCK]
@@ -442,7 +509,7 @@ def _border(index: GridIndex, core: np.ndarray, cores: _CoreCells, root: np.ndar
         s = cores.slot[cell]
         k, s = k[s >= 0], s[s >= 0]
         qx, qy = index.x[q][k], index.y[q][k]
-        lower, upper = _bounds(_point_boxes(qx, qy), cores.box[:, s])
+        lower, upper = _bounds(_point_boxes(qx, qy), cores.box.take(s, axis=1))
         full = upper <= r2
         np.minimum.at(best, lo + k[full], cell_root[s[full]])
         part = (lower <= r2) & ~full

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig
-from .grids import GridDims, OffsetMap, SemanticMap, rle_decode, rle_encode
+from .grids import MAX_FRAME_PIXELS, GridDims, OffsetMap, SemanticMap, rle_decode, rle_encode
 from .instances import Instance
 from .synth import NoiseModel, SceneSpec
 from .tracking import TrackMetrics
@@ -34,8 +34,6 @@ SEMANTIC_MAGIC = b"CCSM"
 OFFSET_MAGIC = b"CCOF"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<II")  # width, height after magic+version
-
-MAX_MANIFEST_PIXELS = 2**26  # 8192 x 8192: a manifest's masks are decoded into crops of up to this many pixels
 
 TRACKS_HEADER = ["frame", "track_id", "class", "center_x", "center_y", "area", "paired_iou"]
 METRICS_HEADER = ["track_id", "movement_px", "avg_speed_px_s", "body_pixel_size", "space_usage"]
@@ -139,8 +137,8 @@ def manifest_loads(text: str, path="<memory>") -> tuple[int, GridDims, list[Inst
     try:
         doc = json.loads(text)
         dims = GridDims(int(doc["width"]), int(doc["height"]))
-        if dims.npixels > MAX_MANIFEST_PIXELS:
-            raise FormatError(path, 0, f"{dims.width}x{dims.height} exceeds the {MAX_MANIFEST_PIXELS}-pixel limit")
+        if dims.npixels > MAX_FRAME_PIXELS:  # masks are decoded into crops of up to this many pixels
+            raise FormatError(path, 0, f"{dims.width}x{dims.height} exceeds the {MAX_FRAME_PIXELS}-pixel limit")
         frame_id = int(doc["frame"])
         instances = [
             Instance(

@@ -21,6 +21,10 @@ SOW = 2
 CLASS_PIGLET = "piglet"
 CLASS_SOW = "sow"
 
+# 8192 x 8192: the largest frame a manifest header or a scene file may
+# ask for, so neither can make the program allocate without bound
+MAX_FRAME_PIXELS = 2**26
+
 
 class DimensionMismatch(ValueError):
     """Two grids that must share dimensions do not."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import BACKGROUND, PIGLET, SOW, CLASS_PIGLET, CLASS_SOW
-from .grids import BinaryMask, GridDims, OffsetMap, SemanticMap
+from .grids import MAX_FRAME_PIXELS, BinaryMask, GridDims, OffsetMap, SemanticMap
 from .instances import Instance
 
 
@@ -94,6 +94,8 @@ class SceneSpec:
     orientations: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        if self.dims.npixels > MAX_FRAME_PIXELS:  # a frame is rasterised whole, several arrays of it at once
+            raise ValueError(f"{self.dims.width}x{self.dims.height} exceeds the {MAX_FRAME_PIXELS}-pixel limit")
         if self.n_piglets < 0:
             raise ValueError("n_piglets must be >= 0")
         if self.n_random_occluders < 0:

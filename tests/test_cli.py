@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from centerseg import GridDims, OffsetMap, SemanticMap
+from centerseg import GridDims, OffsetMap, SemanticMap, cli
 from centerseg.cli import main
 from centerseg.formats import (
     read_manifest,
@@ -221,6 +221,33 @@ def test_batch_names_the_failing_frame(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ccof", "a.ccsm", "b.ccof", "b.ccsm"]
 
 
+def test_batch_out_of_memory_exit_1_names_the_frame(tmp_path, capsys, monkeypatch):
+    dims = GridDims(16, 16)
+    for name in ("a", "b"):
+        write_semantic(tmp_path / f"{name}.ccsm", SemanticMap(dims, np.zeros(dims.shape, dtype=np.uint8)))
+        write_offsets(tmp_path / f"{name}.ccof", OffsetMap(dims, np.zeros((*dims.shape, 2), dtype=np.float32)))
+    segment_frame = cli.segment_frame
+    calls = []
+
+    def short_of_memory(semantic, offsets, cfg):  # the first frame fails, the second succeeds
+        calls.append(semantic)
+        if len(calls) == 1:
+            raise MemoryError()
+        return segment_frame(semantic, offsets, cfg)
+
+    monkeypatch.setattr(cli, "segment_frame", short_of_memory)
+    assert main(["segment", "--batch-dir", str(tmp_path), "--jobs", "1"]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'a.ccsm'}: out of memory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ccof", "a.ccsm", "b.ccof", "b.ccsm"]
+
+    def unable(semantic, offsets, cfg):  # numpy's message follows the path
+        raise MemoryError("Unable to allocate 9.31 GiB")
+
+    monkeypatch.setattr(cli, "segment_frame", unable)
+    assert main(["segment", "--batch-dir", str(tmp_path), "--jobs", "2"]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'a.ccsm'}: Unable to allocate 9.31 GiB\n"
+
+
 def test_unplaceable_scene_exit_1_names_file(tmp_path, capsys):
     scene = tmp_path / "tiny.cfg"
     scene.write_text("width=64\nheight=48\nn_piglets=2\n")  # the default sow does not fit
@@ -331,6 +358,18 @@ def test_eval_oversized_header_exit_2_names_file(tmp_path, run_capped):
     done = run_capped(f"import sys\nfrom centerseg.cli import main\nsys.exit(main({args!r}))\n")
     assert done.returncode == 2, done.stderr
     assert f"error: {huge}: byte 0: 100000x100000 exceeds" in done.stderr
+
+
+def test_oversized_scene_exit_2_names_file(tmp_path, run_capped):
+    # 100000 x 100000 would rasterise 9.31 GiB boolean frames; the capped child would fail on them
+    scene = tmp_path / "huge.cfg"
+    scene.write_text("width=100000\nheight=100000\nn_piglets=1\n")
+    out = tmp_path / "frames"
+    args = ["synth", str(scene), "--out-dir", str(out)]
+    done = run_capped(f"import sys\nfrom centerseg.cli import main\nsys.exit(main({args!r}))\n")
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == f"error: {scene}: byte 0: 100000x100000 exceeds the 67108864-pixel limit\n"
+    assert not out.exists()
 
 
 SCENE_FLOAT_KEYS = (

@@ -404,3 +404,114 @@ def test_memory_grows_with_votes_not_neighborhoods():
     assert labels.n_groups == 4
     assert np.array_equal(labels.labels, np.repeat(np.arange(1, 5), 10_000))
     assert peak < 64 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
+
+
+# --- the sub-cell pass of the count phase -----------------------------------
+
+
+def dense_clouds():
+    """Tight packs of many votes each, so cells hold many votes and their
+    sub-cells are partly covered, plus sparse noise, coincident copies of
+    some pack votes and, sometimes, float32-range votes (the wide-range
+    cell path). The votes are shuffled, so a cell's lowest index is
+    seldom first in its sub-cell order; snapped clouds put ties on ball
+    boundaries."""
+
+    def build(seed, packs, per_pack, spread, noise, extent, snap, extremes):
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(0, extent, (packs, 2))
+        pack = np.repeat(centers, per_pack, axis=0) + rng.normal(0, spread, (packs * per_pack, 2))
+        pts = np.vstack([pack, rng.uniform(0, extent, (noise, 2)), pack[: per_pack // 3]])
+        if snap:
+            pts = np.round(pts * 2) / 2
+        if extremes:
+            pts = np.vstack([pts, [[3e38, 3e38]] * 6 + [[-3e38, 1.0]] * 2 + [[2.0, -3e38]]])
+        return rng.permutation(pts)
+
+    return st.builds(
+        build,
+        seed=st.integers(0, 2**32 - 1),
+        packs=st.integers(1, 4),
+        per_pack=st.integers(5, 90),
+        spread=st.sampled_from([0.3, 0.8, 1.5]),
+        noise=st.integers(0, 120),
+        extent=st.sampled_from([12.0, 40.0]),
+        snap=st.booleans(),
+        extremes=st.booleans(),
+    )
+
+
+def exact_counts(pts, r):
+    dx = pts[None, :, 0] - pts[:, None, 0]
+    dy = pts[None, :, 1] - pts[:, None, 1]
+    return (dx * dx + dy * dy <= r * r).sum(1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    pts=dense_clouds(),
+    eps=st.sampled_from([1.0, 2.5, 4.0]),
+    min_pts=st.integers(1, 60),
+    blocks=st.sampled_from([(7, 5), (None, None)]),
+)
+def test_sub_cell_counts_and_dbscan_match_brute_force(pts, eps, min_pts, blocks):
+    pair_block, query_block = blocks
+    counts = exact_counts(pts, eps)
+    with (
+        mock.patch.object(clustering, "_PAIR_BLOCK", pair_block or clustering._PAIR_BLOCK),
+        mock.patch.object(clustering, "_QUERY_BLOCK", query_block or clustering._QUERY_BLOCK),
+    ):
+        index = GridIndex(pts, eps)
+        assert np.array_equal(index.unsorted(index.counts_within(), 0), counts)
+        # refined only as far as the decision: a lower bound that decides it exactly
+        bounded = index.unsorted(index.counts_within(min_pts), 0)
+        assert np.array_equal(bounded >= min_pts, counts >= min_pts)
+        assert np.all(bounded <= counts)
+        assert dbscan(pts, eps, min_pts) == dbscan_naive(pts, eps, min_pts)
+
+
+def test_cluster_numbered_by_lowest_core_not_first_in_sub_cell_order():
+    # cluster A: vote 0 shares a cell with votes 10..19 but lies in a later
+    # sub-cell, so the cell's first core in sorted order is not its lowest
+    # index; cluster B (votes 1..9) is far away. A holds the lowest core, so it is cluster 1.
+    pts = np.zeros((20, 2))
+    pts[0] = [1.4, 1.4]
+    pts[1:10] = [100.0, 100.0]
+    index = GridIndex(pts, 2.5)
+    cell = index.cell_of[np.flatnonzero(index.order == 0)[0]]
+    assert index.sub_count[cell] == 2 and index.order[index.starts[cell]] != 0
+    labels = dbscan(pts, 2.5, 5)
+    assert labels == dbscan_naive(pts, 2.5, 5)
+    assert list(labels.labels) == [1] + [2] * 9 + [1] * 10
+
+
+def pairs_tested(index, at_least):
+    """Pairs ``counts_within(at_least)`` hands to ``_pair_tests``, and its result."""
+    tested = []
+    real = clustering._pair_tests
+
+    def counting(qx, qy, first, size, *rest):
+        tested.append(int(size.sum()))
+        return real(qx, qy, first, size, *rest)
+
+    with mock.patch.object(clustering, "_pair_tests", counting):
+        out = index.counts_within(at_least)
+    return sum(tested), out
+
+
+def test_sub_cells_cut_pair_tests_on_a_full_scale_cloud():
+    # a retained-vote cloud like one full-scale frame: 14 packs of 1250 votes
+    # (offset noise sigma 1.5 px) and 15k scattered votes over 1280x720
+    rng = np.random.default_rng(14)
+    centers = np.stack([rng.uniform(80, 1200, 14), rng.uniform(80, 640, 14)], axis=1)
+    packs = np.repeat(centers, 1250, axis=0) + rng.normal(0, 1.5, (14 * 1250, 2))
+    pts = rng.permutation(np.vstack([packs, rng.integers(0, (1280, 720), (15_000, 2))]))
+    eps, min_pts = 2.5, 50
+    sub_cells, out = pairs_tested(GridIndex(pts, eps), min_pts)
+    # the same index with each cell as its only sub-cell: whole-cell bounds alone
+    whole = GridIndex(pts, eps)
+    whole.sub_starts, whole.sub_counts, whole.sub_box = whole.starts, whole.counts, whole.box
+    whole.sub_first, whole.sub_count = np.arange(whole.counts.size), np.ones_like(whole.counts)
+    whole_cells, whole_out = pairs_tested(whole, min_pts)
+    assert np.array_equal(out >= min_pts, whole_out >= min_pts)
+    assert 0 < 5 * sub_cells <= whole_cells, (sub_cells, whole_cells)
