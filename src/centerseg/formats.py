@@ -10,9 +10,17 @@ Text artifacts: instance manifests are single-line JSON with sorted keys
 (masks as run-length counts), tracks and metrics are CSV, heat maps are
 binary P5 graymaps with counts rescaled to 255 (raw counts go to a CSV
 alongside), configs are flat key=value files where unknown keys are
-errors.
+errors. Text files are read as strict UTF-8.
+
+Manifest run lists are written and, when in the writer's form, read
+with numpy: one digit formatter (shared with the counts CSV) writes all
+of a manifest's runs, and the reader parses all of them in one pass.
+Any other valid JSON is read with ``json``, with the same values and
+the same errors.
 
 Writers are deterministic: identical values produce identical bytes.
+Read errors are FormatErrors naming the file and the byte offset of the
+problem.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import asdict, fields
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +125,13 @@ def read_offsets(path) -> OffsetMap:
 
 
 def manifest_dumps(frame_id: int, dims: GridDims, instances: list[Instance]) -> str:
+    """The manifest as one line of JSON with sorted keys.
+
+    ``json.dumps`` writes every field but the run lists, each of which it
+    leaves as the placeholder ``"rle":[]``: JSON escapes a ``"`` inside a
+    string, so the placeholder appears nowhere else. All run lists are
+    formatted in one numpy digit pass and spliced into the placeholders.
+    """
     doc = {
         "frame": frame_id,
         "width": dims.width,
@@ -125,17 +141,38 @@ def manifest_dumps(frame_id: int, dims: GridDims, instances: list[Instance]) -> 
                 "class": inst.cls,
                 "score": inst.score,
                 "predicted_center": [inst.predicted_center[0], inst.predicted_center[1]],
-                "rle": rle_encode(inst.mask),
+                "rle": [],
             }
             for inst in instances
         ],
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    pieces = json.dumps(doc, sort_keys=True, separators=(",", ":")).split(_RLE_PLACEHOLDER)
+    if instances:
+        runs = [rle_encode(inst.mask) for inst in instances]
+        lines = _csv_lines(np.concatenate(runs), np.cumsum([r.size for r in runs]) - 1).decode()
+        for i, run_list in enumerate(lines.split("\n")[:-1]):
+            pieces[i] += f'"rle":[{run_list}]'
+    return "".join(pieces) + "\n"
 
 
-def manifest_loads(text: str, path="<memory>") -> tuple[int, GridDims, list[Instance]]:
+def manifest_loads(data: bytes | str, path="<memory>") -> tuple[int, GridDims, list[Instance]]:
+    """Frame id, dims and instances of a manifest given as UTF-8 bytes or text.
+
+    A manifest in the writer's form has its run lists parsed in numpy
+    (see :func:`_writer_form_doc`); any other JSON goes through
+    ``json.loads`` whole, so the two give the same instances or the same
+    error. Errors are FormatErrors at the byte offset of the problem, or
+    at byte 0 when it is in a value rather than in the JSON syntax.
+    """
+    if isinstance(data, str):
+        text = data
+        data = text.encode("utf-8", "surrogatepass")
+    else:
+        text = _utf8(data, path)
     try:
-        doc = json.loads(text)
+        doc = _writer_form_doc(data)
+        if doc is None:
+            doc = json.loads(text)
         dims = GridDims(int(doc["width"]), int(doc["height"]))
         if dims.npixels > MAX_FRAME_PIXELS:  # masks are decoded into crops of up to this many pixels
             raise FormatError(path, 0, f"{dims.width}x{dims.height} exceeds the {MAX_FRAME_PIXELS}-pixel limit")
@@ -151,10 +188,97 @@ def manifest_loads(text: str, path="<memory>") -> tuple[int, GridDims, list[Inst
         ]
     except FormatError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
-        offset = getattr(exc, "pos", 0)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        offset = len(text[: getattr(exc, "pos", 0)].encode("utf-8", "surrogatepass"))  # json counts characters
         raise FormatError(path, offset, f"bad instance manifest: {exc}") from exc
     return frame_id, dims, instances
+
+
+_RLE_PLACEHOLDER = '"rle":[]'
+_RLE_OPEN = b'"rle":['
+
+
+def _writer_form_doc(data: bytes) -> dict | None:
+    """The manifest's JSON document, each instance's ``"rle"`` an int64 array,
+    or None when ``data`` is not in the writer's form.
+
+    Each ``"rle":[`` opens a span that runs to the next ``]``. Every span
+    must hold a run list as the writer formats it (see
+    :func:`_writer_runs`), and the JSON left with each span emptied, the
+    skeleton, must hold no backslash, so that every ``"`` delimits a
+    string, and exactly one ``"rle"`` string per ``instances`` entry,
+    which must be that entry's key. Each span is then the run list of
+    its entry. When any of this fails the caller parses ``data`` with
+    ``json`` instead, so this path decides nothing about what the file
+    holds; it only parses faster what the writer wrote.
+    """
+    spans = []
+    end = 0
+    while (start := data.find(_RLE_OPEN, end)) >= 0:
+        start += len(_RLE_OPEN)
+        end = data.find(b"]", start)
+        if end < 0:
+            return None
+        spans.append((start, end))
+    if not spans:
+        return None
+    cuts = [0, *(i for span in spans for i in span), len(data)]
+    skeleton = b"".join([data[a:b] for a, b in zip(cuts[::2], cuts[1::2])])
+    if b"\\" in skeleton or skeleton.count(b'"rle"') != len(spans):
+        return None
+    runs = _writer_runs([data[a:b] for a, b in spans])
+    if runs is None:
+        return None
+    try:
+        doc = json.loads(skeleton.decode())
+    except (ValueError, RecursionError):
+        return None
+    entries = doc.get("instances") if isinstance(doc, dict) else None
+    if not (
+        isinstance(entries, list)
+        and len(entries) == len(spans)
+        and all(isinstance(entry, dict) and "rle" in entry for entry in entries)
+    ):
+        return None
+    for entry, entry_runs in zip(entries, runs):
+        entry["rle"] = entry_runs
+    return doc
+
+
+def _writer_runs(lists: list[bytes]) -> list[np.ndarray] | None:
+    """The run lengths of each of ``lists`` as an int64 array, or None unless
+    every list is in the writer's form: decimal runs joined by commas, with
+    no empty field, no leading zero and at most 9 digits per run (so no
+    run can wrap int64).
+
+    All lists are joined, checked with whole-array comparisons over their
+    bytes and parsed in one ``np.fromstring`` pass.
+    """
+    body = b",".join(lists)
+    if not body or body[0] == ord(",") or body[-1] == ord(","):  # an empty first or last field
+        return None
+    b = np.frombuffer(body, dtype=np.uint8)
+    comma = b == ord(",")
+    starts = list(accumulate((len(piece) + 1 for piece in lists[:-1]), initial=0))
+    # each list's commas and the one after it, which is its number of runs; the last has none after it
+    sizes = np.add.reduceat(comma, starts, dtype=np.intp)
+    sizes[-1] += 1
+    n_runs = int(sizes.sum())
+    digit = (b - ord("0")) < 10  # uint8 arithmetic: bytes below "0" wrap above 9
+    if np.count_nonzero(digit) + n_runs - 1 != b.size or (comma[1:] & comma[:-1]).any():
+        return None  # a byte other than a digit or a comma, or an empty field
+    zero_then_digit = (b[:-1] == ord("0")) & digit[1:]
+    if (body[0] == ord("0") and b.size > 1 and digit[1]) or (zero_then_digit[1:] & comma[:-2]).any():
+        return None  # a leading zero
+    # dK[i] is set where bytes i to i + K - 1 are all digits
+    d2 = digit[1:] & digit[:-1]
+    d4 = d2[2:] & d2[:-2]
+    d8 = d4[4:] & d4[:-4]
+    if (d8[:-2] & d2[8:]).any():
+        return None  # a run of 10 digits or more
+    runs = np.fromstring(body, dtype=np.int64, count=n_runs, sep=",")
+    bounds = np.cumsum(sizes).tolist()
+    return [runs[lo:hi] for lo, hi in zip([0, *bounds], bounds)]
 
 
 def write_manifest(path, frame_id: int, dims: GridDims, instances: list[Instance]) -> None:
@@ -162,7 +286,15 @@ def write_manifest(path, frame_id: int, dims: GridDims, instances: list[Instance
 
 
 def read_manifest(path) -> tuple[int, GridDims, list[Instance]]:
-    return manifest_loads(Path(path).read_text(), path)
+    return manifest_loads(Path(path).read_bytes(), path)
+
+
+def _utf8(data: bytes, path) -> str:
+    """``data`` decoded as strict UTF-8, or a FormatError at its first bad byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(path, exc.start, f"not UTF-8: {exc.reason}") from None
 
 
 def _fmt(value) -> str:
@@ -236,46 +368,46 @@ def counts_csv_dumps(dims: GridDims, box: tuple[int, int, int, int], counts: np.
     ``counts`` are the uint32 counts over ``box`` ``(row0, row1, col0,
     col1)`` and every cell outside the box is 0. Rows outside the box
     are one shared zero line, and the columns outside it constant runs
-    of ``0,``; only the box's cells are formatted, by :func:`_box_csv`.
+    of ``0,``; only the box's cells are formatted, by :func:`_csv_lines`.
     """
     r0, r1, c0, c1 = box if counts.size else (0, 0, 0, 0)
     zero_row = b"0," * (dims.width - 1) + b"0\n"
     left, right = b"0," * c0, b",0" * (dims.width - c1) + b"\n"
     inner = b""
     if r1 > r0:
-        inner = left + _box_csv(counts)[:-1].replace(b"\n", right + left) + right
+        cells = _csv_lines(counts.ravel(), np.arange(counts.shape[1] - 1, counts.size, counts.shape[1]))
+        inner = left + cells[:-1].replace(b"\n", right + left) + right
     return b"".join((zero_row * r0, inner, zero_row * (dims.height - r1)))
 
 
-def _box_csv(box: np.ndarray) -> bytes:
-    """The cells of a non-empty uint32 array as CSV lines, each ending in a newline.
+def _csv_lines(values: np.ndarray, line_ends) -> bytes:
+    """Non-negative integers below 2**32 as ASCII decimals, each followed by a
+    comma, or by a newline at the indices ``line_ends`` (the last one's included).
 
-    Formatted in numpy, with no Python call per cell: each cell's byte
-    width (digits, separator) gives its end in one buffer by a
-    cumulative sum, and the digits are written right to left, one digit
-    place at a time, for every cell that still has one.
+    Formatted in numpy, with no Python call per value: the digits fill a
+    right-aligned byte matrix, a row per value and a column per digit
+    place, written a place at a time for all values at once. The places
+    above a value's leading digit hold NUL bytes, which are then deleted.
     """
-    mag = box.astype(np.uint32).ravel()  # a copy: the digit loop below consumes it
-    top = int(mag.max())
-    width = np.full(mag.size, 2)  # first digit, separator
-    place = 10
-    while place <= top:
-        width += mag >= place
-        place *= 10
-    end = np.cumsum(width)
-    buf = np.full(int(end[-1]), ord(","), dtype=np.uint8)
-    buf[end[box.shape[1] - 1 :: box.shape[1]] - 1] = ord("\n")
-    pos = end
-    pos -= 2  # each cell's last digit
-    while True:
-        rest = mag // 10  # floor division by a constant is far cheaper than %
-        mag -= rest * 10
-        mag += ord("0")
-        buf[pos] = mag
-        more = rest > 0
-        if not more.any():
-            return buf.tobytes()
-        mag, pos = rest[more], pos[more] - 1
+    top = int(values.max())
+    if top > np.iinfo(np.uint32).max:
+        raise ValueError(f"{top} is above the 32-bit range of the digit formatter")
+    q = values.astype(np.uint32)  # a copy: the digit loop below consumes it
+    rest, digit = np.empty_like(q), np.empty_like(q)
+    places = len(str(top))
+    rows = np.empty((q.size, places + 1), dtype=np.uint8)
+    rows[:, places] = ord(",")
+    rows[line_ends, places] = ord("\n")
+    for col in range(places - 1, -1, -1):
+        np.floor_divide(q, 10, out=rest)  # floor division by a constant is far cheaper than %
+        np.multiply(rest, 10, out=digit)
+        np.subtract(q, digit, out=digit)
+        digit += ord("0")
+        if col < places - 1:
+            digit *= q > 0  # NUL above the leading digit; a lone 0 is kept
+        rows[:, col] = digit
+        q, rest = rest, q
+    return rows.tobytes().translate(None, b"\0")
 
 
 # --- flat key=value files: pipeline configs -------------------------------
@@ -352,7 +484,7 @@ def config_loads(text: str, path="<config>") -> PipelineConfig:
 
 
 def read_config(path) -> PipelineConfig:
-    return config_loads(Path(path).read_bytes().decode(), path)
+    return config_loads(_utf8(Path(path).read_bytes(), path), path)
 
 
 # --- scene spec files -------------------------------------------------------
@@ -390,4 +522,4 @@ def scene_spec_loads(text: str, path="<scene>") -> SceneSpec:
 
 
 def read_scene_spec(path) -> SceneSpec:
-    return scene_spec_loads(Path(path).read_bytes().decode(), path)
+    return scene_spec_loads(_utf8(Path(path).read_bytes(), path), path)

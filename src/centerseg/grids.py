@@ -196,8 +196,8 @@ class OffsetMap:
         return self.dims == other.dims and np.array_equal(self.vectors, other.vectors)
 
 
-def rle_encode(mask: BinaryMask) -> list[int]:
-    """Run-length counts of a mask in row-major order.
+def rle_encode(mask: BinaryMask) -> np.ndarray:
+    """Run-length counts of a mask in row-major order, as a 1-D int64 array.
 
     Counts alternate unset/set runs and always start with the unset run
     (zero if the first pixel is set); they sum to width * height. Runs
@@ -210,62 +210,81 @@ def rle_encode(mask: BinaryMask) -> list[int]:
     into the next.
     """
     if mask.area == 0:
-        return [mask.dims.npixels]
+        return np.array([mask.dims.npixels], dtype=np.int64)
     r0, _, c0, _ = mask.bbox
     rows, cols = mask.crop.shape
     width = mask.dims.width
     stride = cols + (cols < width)
     flat = np.zeros(rows * stride + 2, dtype=bool)  # a clear pixel before the first row and after the last
     flat[1:-1].reshape(rows, stride)[:, :cols] = mask.crop
-    row, col = np.divmod(np.flatnonzero(np.diff(flat)), stride)  # each run's start, then its end
-    counts = np.diff((r0 + row) * width + (c0 + col), prepend=0, append=mask.dims.npixels).tolist()
-    if counts[-1] == 0:
-        counts.pop()
-    return counts
+    change = np.flatnonzero(flat[1:] != flat[:-1])  # each run's start, then its end
+    # strided index i is crop row i // stride and column i % stride, so frame pixel
+    # (r0 + i // stride) * width + c0 + i % stride: the edges between runs, with 0 and npixels
+    edges = np.empty(change.size + 2, dtype=np.int64)
+    edges[0], edges[-1] = 0, mask.dims.npixels
+    edges[1:-1] = change + (change // stride) * (width - stride) + (r0 * width + c0)
+    counts = edges[1:] - edges[:-1]
+    return counts[:-1] if counts[-1] == 0 else counts
 
 
 def rle_decode(counts, dims: GridDims) -> BinaryMask:
     """Inverse of :func:`rle_encode`.
 
-    The counts must be ints (not bools) that are non-negative and sum to
-    width * height; zero-length runs are accepted anywhere (the
-    alternation simply continues). Only the set pixels are written, into
-    a crop of their box, so the cost follows the number of runs plus the
-    mask's area, not the frame's.
+    The counts are a 1-D integer array, or a sequence of ints (not
+    bools); they must be non-negative and sum to width * height.
+    Zero-length runs are accepted anywhere (the alternation simply
+    continues). Only the set pixels are written, into a crop of their
+    box, so the cost follows the number of runs plus the mask's area,
+    not the frame's.
     """
-    bad = set(map(type, counts)) - {int}
-    if bad:
-        raise ValueError(f"run lengths must be integers, got {', '.join(sorted(t.__name__ for t in bad))}")
-    try:
-        runs = np.fromiter(counts, dtype=np.int64, count=len(counts))
-    except OverflowError:
-        raise ValueError(f"run length out of range for {dims.width}x{dims.height}") from None
+    if isinstance(counts, np.ndarray):
+        if counts.ndim != 1 or counts.dtype.kind not in "iu":
+            raise ValueError(f"run lengths must be a 1-D integer array, got {counts.ndim}-D {counts.dtype}")
+        runs = counts
+    else:
+        bad = set(map(type, counts)) - {int}
+        if bad:
+            raise ValueError(f"run lengths must be integers, got {', '.join(sorted(t.__name__ for t in bad))}")
+        try:
+            runs = np.fromiter(counts, dtype=np.int64, count=len(counts))
+        except OverflowError:
+            raise ValueError(f"run length out of range for {dims.width}x{dims.height}") from None
     if runs.size and runs.min() < 0:
         raise ValueError("run lengths must be non-negative")
-    total = sum(counts)  # exact: an int64 sum could wrap around
+    total = None
+    if runs.size and runs.max() <= dims.npixels:  # then the int64 cumulative sum cannot wrap around
+        runs = runs.astype(np.int64, copy=False)
+        ends = np.cumsum(runs)
+        total = int(ends[-1])
     if total != dims.npixels:
         raise ValueError(
-            f"run lengths sum to {total}, expected {dims.npixels} for {dims.width}x{dims.height}"
+            f"run lengths sum to {sum(runs.tolist())}, expected {dims.npixels} for {dims.width}x{dims.height}"
         )
-    ends = np.cumsum(runs)
-    starts, ends = (ends - runs)[1::2], ends[1::2]
+    starts, ends = ends[:-1:2], ends[1::2]  # each set run starts where the unset run before it ends
     nonempty = ends > starts
     starts, ends = starts[nonempty], ends[nonempty]
     if starts.size == 0:
         return BinaryMask.empty(dims)
-    # cut each set run at row boundaries into pieces [lo, hi) of columns
+    # each set run's columns [lo, hi) in its first row; hi > w when it goes on into later rows
     w = dims.width
-    first_row = starts // w
-    n_rows = (ends - 1) // w - first_row + 1
-    run = np.repeat(np.arange(starts.size), n_rows)
-    row = first_row[run] + np.arange(run.size) - (np.cumsum(n_rows) - n_rows)[run]
-    lo = np.maximum(starts[run] - row * w, 0)
-    hi = np.minimum(ends[run] - row * w, w)
+    row = starts // w
+    lo = starts - row * w
+    hi = ends - row * w
+    c1 = int(hi.max())
+    if c1 > w:  # cut the runs at row boundaries into pieces, one per row
+        n_rows = (hi - 1) // w + 1
+        run = np.repeat(np.arange(starts.size), n_rows)
+        k = np.arange(run.size) - (np.cumsum(n_rows) - n_rows)[run]  # each piece's row within its run
+        row = row[run] + k
+        lo = np.maximum(lo[run] - k * w, 0)
+        hi = np.minimum(hi[run] - k * w, w)
+        c1 = int(hi.max())
     r0, r1 = int(row[0]), int(row[-1]) + 1
-    c0, c1 = int(lo.min()), int(hi.max())
+    c0 = int(lo.min())
     crop = np.zeros((r1 - r0, c1 - c0), dtype=bool)
     lengths = hi - lo
     first = (row - r0) * (c1 - c0) + (lo - c0)  # each piece's first pixel in the flat crop
-    pixels = np.repeat(first - (np.cumsum(lengths) - lengths), lengths) + np.arange(int(lengths.sum()))
+    done = np.cumsum(lengths)
+    pixels = np.repeat(first - (done - lengths), lengths) + np.arange(int(done[-1]))
     crop.reshape(-1)[pixels] = True
     return BinaryMask._from_crop(dims, (r0, r1, c0, c1), crop)

@@ -1,6 +1,7 @@
 """End-to-end CLI runs against temp files."""
 
 import numpy as np
+import pytest
 
 from centerseg import GridDims, OffsetMap, SemanticMap, cli
 from centerseg.cli import main
@@ -346,6 +347,24 @@ def test_eval_bad_run_length_exit_2_names_file(tmp_path, capsys):
         captured = capsys.readouterr()
         assert f"error: {bad}: byte 0: bad instance manifest: run length" in captured.err, rle
         assert "mAP" not in captured.out
+
+
+@pytest.mark.parametrize("kind", ["manifest", "config", "scene"])
+def test_non_utf8_file_exit_2_names_file_and_offset(tmp_path, capsys, kind):
+    good = tmp_path / "good.json"
+    good.write_text('{"frame":0,"height":3,"instances":[],"width":3}\n')
+    bad = tmp_path / "bad"
+    if kind == "manifest":
+        bad.write_bytes(b'{"frame":0,"height":3,"instances":[],"width":3\xff}\n')
+        argv, offset = ["eval", "--pred", str(bad), "--gt", str(good)], 46
+    elif kind == "config":
+        bad.write_bytes(b"eps=2\xff\n")
+        argv, offset = ["track", str(good), "--out-dir", str(tmp_path / "t"), "--config", str(bad)], 5
+    else:
+        bad.write_bytes(b"width=10\nheight=10\nn_piglets=1\xff\n")
+        argv, offset = ["synth", str(bad), "--out-dir", str(tmp_path / "s")], 30
+    assert main(argv) == 2
+    assert f"error: {bad}: byte {offset}: not UTF-8: invalid start byte" in capsys.readouterr().err
 
 
 def test_eval_oversized_header_exit_2_names_file(tmp_path, run_capped):

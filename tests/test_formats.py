@@ -1,8 +1,12 @@
 """Bit-exact file formats: binary maps, manifests, CSV, config files."""
 
+import json
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -14,7 +18,10 @@ from centerseg import (
     OffsetMap,
     PipelineConfig,
     SemanticMap,
+    rle_decode,
+    rle_encode,
 )
+from centerseg import formats
 from centerseg.formats import (
     FormatError,
     config_dumps,
@@ -26,7 +33,10 @@ from centerseg.formats import (
     metrics_csv_dumps,
     metrics_csv_loads,
     offsets_to_bytes,
+    read_config,
+    read_manifest,
     read_offsets,
+    read_scene_spec,
     read_semantic,
     scene_spec_loads,
     semantic_from_bytes,
@@ -181,6 +191,205 @@ def test_manifest_header_bounds_the_frame(run_capped):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("huge.json: byte 0: 100000x100000 exceeds"), done.stdout
+
+
+NON_UTF8_FILES = {
+    "manifest": (read_manifest, b'{"frame":0,"height":3,"instances":[],"width":3\xff}\n', 46),
+    "config": (read_config, b"eps=2\xff\n", 5),
+    "scene": (read_scene_spec, b"width=10\nheight=10\nn_piglets=1\xff\n", 30),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_UTF8_FILES))
+def test_non_utf8_file_fails_at_the_bad_byte(tmp_path, kind):
+    read, data, offset = NON_UTF8_FILES[kind]
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=f"{re.escape(str(path))}: byte {offset}: not UTF-8") as err:
+        read(path)
+    assert err.value.offset == offset
+    if kind == "manifest":
+        with pytest.raises(FormatError, match="x.json: byte 1: not UTF-8"):
+            manifest_loads(b"{\xc3(", path="x.json")
+
+
+def test_manifest_syntax_error_offset_counts_bytes(tmp_path):
+    # the two-byte character before the error moves it one byte past json's character index
+    text = '{"frame":0,"height":3,"instances":[{"class":"piglét","predicted_center":[1.0,1.0],"rle":[4,5],"score":0.5}],"width":3,,}'
+    path = tmp_path / "e.json"
+    path.write_bytes(text.encode())
+    byte = text.encode().index(b",,") + 1
+    for load in (lambda: read_manifest(path), lambda: manifest_loads(text, path=path)):
+        with pytest.raises(FormatError) as err:
+            load()
+        assert err.value.offset == byte == text.index(",,") + 2
+
+
+def manifest_outcome(load):
+    """What a manifest load gives: its values, or its FormatError's text and offset."""
+    try:
+        return load()
+    except FormatError as exc:
+        return ("FormatError", str(exc), exc.offset)
+
+
+def json_path_outcome(data):
+    """``manifest_loads`` with the numpy run-list path switched off."""
+    with mock.patch.object(formats, "_writer_form_doc", return_value=None):
+        return manifest_outcome(lambda: manifest_loads(data, path="m.json"))
+
+
+def manifest_by_json(frame_id, dims, instances):
+    """The writer the numpy run-list formatter replaced: ``json.dumps`` of every field."""
+    doc = {
+        "frame": frame_id, "width": dims.width, "height": dims.height,
+        "instances": [
+            {"class": i.cls, "score": i.score, "predicted_center": list(i.predicted_center), "rle": rle_encode(i.mask).tolist()}
+            for i in instances
+        ],
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@st.composite
+def manifest_values(draw):
+    """Frame id, dims and up to four instances on a frame of up to 9x9 pixels."""
+    dims = GridDims(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    instances = []
+    for _ in range(draw(st.integers(0, 4))):
+        bits = draw(arrays(bool, dims.shape))
+        bits[draw(st.integers(0, dims.height - 1)), draw(st.integers(0, dims.width - 1))] = True
+        center = st.floats(-1e6, 1e6, allow_nan=False)
+        instances.append(
+            Instance(
+                mask=BinaryMask(dims, bits),
+                predicted_center=(draw(center), draw(center)),
+                cls=draw(st.sampled_from(["piglet", "sow"])),
+                score=draw(st.floats(0.0, 1.0)),
+            )
+        )
+    return draw(st.integers(0, 10**6)), dims, instances
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=manifest_values())
+def test_manifest_writer_matches_json_dumps(values):
+    assert manifest_dumps(*values) == manifest_by_json(*values)
+
+
+def writer_manifests():
+    return manifest_values().map(lambda values: manifest_dumps(*values))
+
+
+RUN_LIST = re.compile(r'"rle":\[([0-9,]*)\]')
+RUN = re.compile(r"[0-9]+")
+
+
+def mutate_runs(text, draw, change):
+    """``text`` with ``change(run_text)`` applied to one drawn run of one drawn run list."""
+    lists = list(RUN_LIST.finditer(text))
+    if not lists:
+        return text
+    span = draw(st.sampled_from(lists))
+    runs = list(RUN.finditer(text, span.start(1), span.end(1)))
+    run = draw(st.sampled_from(runs))
+    return text[: run.start()] + change(run.group()) + text[run.end() :]
+
+
+def mutate_list(text, draw, change):
+    """``text`` with ``change(match)`` replacing one drawn ``"rle":[...]`` match."""
+    lists = list(RUN_LIST.finditer(text))
+    if not lists:
+        return text
+    span = draw(st.sampled_from(lists))
+    return text[: span.start()] + change(span) + text[span.end() :]
+
+
+MUTATIONS = {
+    "none": lambda text, draw: text,
+    "space in a list": lambda text, draw: mutate_runs(text, draw, lambda r: draw(st.sampled_from([" ", "\n", "\t"])) + r),
+    "space after a list": lambda text, draw: mutate_runs(text, draw, lambda r: r + " "),
+    "space before a list": lambda text, draw: mutate_list(text, draw, lambda m: '"rle": [' + m.group(1) + "]"),
+    "space inside the brackets": lambda text, draw: mutate_list(text, draw, lambda m: '"rle":[ ' + m.group(1) + " ]"),
+    "leading zero": lambda text, draw: mutate_runs(text, draw, lambda r: "0" + r),
+    "wide run": lambda text, draw: mutate_runs(
+        text, draw, lambda r: str(draw(st.sampled_from([10**9, 10**9 + int(r), 2**63 + int(r), 2**64 + int(r), 10**25])))
+    ),
+    "sign": lambda text, draw: mutate_runs(text, draw, lambda r: draw(st.sampled_from("-+")) + r),
+    "float": lambda text, draw: mutate_runs(text, draw, lambda r: r + draw(st.sampled_from([".0", "e0", ".5"]))),
+    "literal": lambda text, draw: mutate_runs(text, draw, lambda r: draw(st.sampled_from(["true", "false", "null"]))),
+    "nested": lambda text, draw: mutate_runs(text, draw, lambda r: "[" + r + "]"),
+    "empty list": lambda text, draw: mutate_list(text, draw, lambda m: '"rle":[]'),
+    "duplicate key": lambda text, draw: mutate_list(text, draw, lambda m: m.group() + ',"rle":[' + m.group(1) + "]"),
+    "duplicate key, other runs": lambda text, draw: mutate_list(text, draw, lambda m: m.group() + ',"rle":[1,2]'),
+    "duplicate key, spaced": lambda text, draw: mutate_list(
+        text, draw, lambda m: m.group() + ',"rle" :[' + ",".join(reversed(m.group(1).split(","))) + "]"
+    ),
+    "duplicate key, spaced first": lambda text, draw: mutate_list(text, draw, lambda m: '"rle": [1,2],' + m.group()),
+    "escaped key": lambda text, draw: mutate_list(text, draw, lambda m: '"\\u0072le":[' + m.group(1) + "]"),
+    "quote inside a key": lambda text, draw: mutate_list(text, draw, lambda m: m.group() + ',"x\\"rle":[5]'),
+    "rle at the top level": lambda text, draw: '{"rle":[' + draw(st.sampled_from(["1,2", "9", ""])) + "]," + text[1:],
+    "rle in another value": lambda text, draw: text.replace(
+        '"predicted_center":[', '"predicted_center":[{"rle":[3]},', 1
+    ),
+    "swapped lists": lambda text, draw: RUN_LIST.sub(lambda m: '"rle":[' + ",".join(reversed(m.group(1).split(","))) + "]", text),
+    "non-ASCII class": lambda text, draw: text.replace('"class":"piglet"', '"class":"piglét"', 1),
+    "escaped class": lambda text, draw: text.replace('"class":"sow"', '"class":"s\\u006fw"', 1),
+}
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=writer_manifests(), kind=st.sampled_from(sorted(MUTATIONS)), data=st.data())
+def test_numpy_run_lists_read_as_json_does(text, kind, data):
+    """Writer-form manifests, mutated, read the same through the numpy
+    run-list path and through ``json``: the same instances, or a
+    FormatError with the same message and offset."""
+    if kind == "none":
+        assert formats._writer_form_doc(text.encode()) is not None or '"rle"' not in text
+    mutated = MUTATIONS[kind](text, data.draw)
+    expected = json_path_outcome(mutated)
+    assert manifest_outcome(lambda: manifest_loads(mutated, path="m.json")) == expected
+    assert manifest_outcome(lambda: manifest_loads(mutated.encode(), path="m.json")) == expected
+
+
+def test_writer_form_path_refuses_what_it_cannot_prove():
+    text = manifest_dumps(
+        0, GridDims(3, 3), [Instance(BinaryMask.from_flat_indices(GridDims(3, 3), [4]), (1.0, 1.0), "piglet", 0.5)]
+    )
+    assert text == '{"frame":0,"height":3,"instances":[{"class":"piglet","predicted_center":[1.0,1.0],"rle":[4,1,4],"score":0.5}],"width":3}\n'
+    assert formats._writer_form_doc(text.encode())["instances"][0]["rle"].tolist() == [4, 1, 4]
+    for bad in ("[04,1,4]", "[4, 1,4]", "[4,1,4,]", "[,4,1,4]", "[4,,1,4]", "[4,-1,6]", "[1000000000,1]", "[]"):
+        assert formats._writer_form_doc(text.replace("[4,1,4]", bad).encode()) is None, bad
+    assert formats._writer_form_doc(text.replace("[4,1,4]", "[4,1,4],\"rle\":[9]").encode()) is None
+    assert formats._writer_form_doc(text.replace('{"frame"', '{"rle":[9],"frame"').encode()) is None
+    assert formats._writer_form_doc(text.replace('"piglet"', '"pig\\u006cet"').encode()) is None
+
+
+def test_manifest_writer_refuses_runs_above_32_bits():
+    dims = GridDims(70_000, 70_000)  # one pixel: the last run is above 2**32
+    inst = Instance(BinaryMask.from_flat_indices(dims, [5]), (5.0, 0.0), "piglet", 0.5)
+    with pytest.raises(ValueError, match="above the 32-bit range"):
+        manifest_dumps(0, dims, [inst])
+
+
+def test_rle_decode_array_input_is_checked_like_lists():
+    dims = GridDims(3, 3)
+    wrapping = [2**62, 2**62, 2**62, 2**62 + 9]  # sums to 2**64 + 9, which int64 would wrap to 9
+    for runs in ([4, -1, 6], [-1, 10], [0, 10], [3, 2], [0, 10**12], wrapping, [2**63 - 1, 2**63 - 1, 2]):
+        with pytest.raises(ValueError) as from_list:
+            rle_decode(runs, dims)
+        with pytest.raises(ValueError) as from_array:
+            rle_decode(np.array(runs, dtype=np.int64), dims)
+        assert str(from_array.value) == str(from_list.value), runs
+    with pytest.raises(ValueError, match="run lengths sum to 18446744073709551625, expected 9"):
+        rle_decode(np.array(wrapping, dtype=np.int64), dims)
+    for runs in (np.array([4.0, 5.0]), np.array([True, False]), np.array([[4, 5]])):
+        with pytest.raises(ValueError, match="1-D integer array"):
+            rle_decode(runs, dims)
+    for dtype in (np.int64, np.uint64, np.int32, np.uint8):
+        assert rle_decode(np.array([4, 1, 4], dtype=dtype), dims) == rle_decode([4, 1, 4], dims)
+    with pytest.raises(ValueError, match=f"run lengths sum to {2**63 + 9}, expected 9"):
+        rle_decode(np.array([2**63 + 5, 4], dtype=np.uint64), dims)
 
 
 def test_tracks_csv_round_trip():
