@@ -146,7 +146,7 @@ def manifest_dumps(frame_id: int, dims: GridDims, instances: list[Instance]) -> 
             for inst in instances
         ],
     }
-    pieces = json.dumps(doc, sort_keys=True, separators=(",", ":")).split(_RLE_PLACEHOLDER)
+    pieces = json.dumps(doc, sort_keys=True, separators=(",", ":")).split('"rle":[]')
     if instances:
         runs = [rle_encode(inst.mask) for inst in instances]
         lines = _csv_lines(np.concatenate(runs), np.cumsum([r.size for r in runs]) - 1).decode()
@@ -194,7 +194,6 @@ def manifest_loads(data: bytes | str, path="<memory>") -> tuple[int, GridDims, l
     return frame_id, dims, instances
 
 
-_RLE_PLACEHOLDER = '"rle":[]'
 _RLE_OPEN = b'"rle":['
 
 
