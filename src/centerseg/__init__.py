@@ -19,7 +19,6 @@ from .clustering import (
     mean_shift,
     neighbor_counts,
     neighbors_at_least,
-    radius_neighbors,
 )
 from .config import PipelineConfig
 from .evaluation import APResult, IOU_THRESHOLDS, average_precision, map_eval, mask_iou
@@ -126,7 +125,6 @@ __all__ = [
     "offset_loss",
     "pair_frames",
     "perturb",
-    "radius_neighbors",
     "reassign_unlabeled",
     "rle_decode",
     "rle_encode",

@@ -10,7 +10,8 @@ Each command has flags for only the pipeline config keys it reads; its
 path and then publishes no manifest. ``track`` reads each manifest just
 before its update and publishes its output files together once all are
 written. ``eval`` loads its manifests one after another: it accepts
---jobs, which has no effect.
+--jobs, which has no effect. ``gradcheck --n`` and ``synth --frames``
+must be at least 1 too.
 """
 
 from __future__ import annotations
@@ -38,15 +39,15 @@ class UsageError(Exception):
     """Bad command-line arguments; ``main`` exits 2 with the message."""
 
 
-def _jobs(value: str) -> int:
-    """A worker count: an integer of at least 1."""
+def _count(value: str) -> int:
+    """A worker, case or frame count: an integer of at least 1."""
     try:
-        jobs = int(value)
+        count = int(value)
     except ValueError:
-        jobs = 0
-    if jobs < 1:
+        count = 0
+    if count < 1:
         raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {value!r}")
-    return jobs
+    return count
 
 
 def _on_off(value: str) -> bool:
@@ -262,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame-id", type=int, help="frame id written to the manifest (default 0)")
     p.add_argument("--batch-dir", type=Path, help="directory of paired .ccsm/.ccof files")
     p.add_argument("--timings", type=Path, help="write per-stage wall times to this JSON file")
-    p.add_argument("--jobs", type=_jobs, help="worker threads for --batch-dir (default: min(8, cpu_count))")
+    p.add_argument("--jobs", type=_count, help="worker threads for --batch-dir (default: min(8, cpu_count))")
     _add_config_flags(p, "t", "min_neighbors", "filter_strategy", "eps", "min_pts", "rc2m", "algo", "bandwidth")
     p.set_defaults(func=_cmd_segment)
 
@@ -275,11 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="mAP of predictions against ground truth")
     p.add_argument("--pred", type=Path, nargs="+", required=True)
     p.add_argument("--gt", type=Path, nargs="+", required=True)
-    p.add_argument("--jobs", type=_jobs, help="accepted for compatibility; has no effect")
+    p.add_argument("--jobs", type=_count, help="accepted for compatibility; has no effect")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference checks of the loss gradients")
-    p.add_argument("--n", type=int, default=50)
+    p.add_argument("--n", type=_count, default=50)
     p.add_argument("--seed", type=int)
     p.add_argument("--corrupt", action="store_true", help="negative-control hook: corrupt one gradient component")
     p.set_defaults(func=_cmd_gradcheck)
@@ -287,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate synthetic frames from a scene file")
     p.add_argument("scene", type=Path, help="key=value scene spec")
     p.add_argument("--out-dir", type=Path, required=True)
-    p.add_argument("--frames", type=int, default=1)
+    p.add_argument("--frames", type=_count, default=1)
     p.set_defaults(func=_cmd_synth)
 
     return parser

@@ -380,30 +380,6 @@ class GridIndex:
         return out
 
 
-def radius_neighbors(index: GridIndex, query, r: float) -> np.ndarray:
-    """Indices of all points within distance r of ``query``, ascending.
-
-    ``r`` must equal the radius the index was built for.
-    """
-    if r != index.radius:
-        raise ValueError(f"query radius {r} does not match index radius {index.radius}")
-    qx, qy = float(query[0]), float(query[1])
-    cells = np.flatnonzero(_bounds(_point_boxes(np.array([qx]), np.array([qy])), index.box)[0] <= index.r2)
-    hits = [
-        j[hit]
-        for _, j, hit in _pair_tests(
-            np.full(cells.size, qx),
-            np.full(cells.size, qy),
-            index.starts[cells],
-            index.counts[cells],
-            index.x,
-            index.y,
-            index.r2,
-        )
-    ]
-    return np.sort(index.order[np.concatenate(hits)]) if hits else np.empty(0, dtype=np.int64)
-
-
 def neighbor_counts(points, radius: float) -> np.ndarray:
     """Number of points within ``radius`` of each point, including itself.
 

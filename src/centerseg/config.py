@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-ALGORITHMS = ("dbscan", "dbscan-naive", "mean-shift")
+ALGORITHMS = ("dbscan", "mean-shift")
 FILTER_STRATEGIES = ("density", "offset-magnitude")
 
 
@@ -26,9 +26,6 @@ class PipelineConfig:
     rc2m: bool = True
     algo: str = "dbscan"
     bandwidth: float = 10.0
-    ms_max_iter: int = 300
-    shift_tol: float = 1e-3
-    merge_radius: float | None = None
     min_iou: float = 0.0
     fps: float = 7.0
 
@@ -52,12 +49,6 @@ class PipelineConfig:
             raise ValueError(f"algo must be one of {ALGORITHMS}")
         if not self.bandwidth > 0:
             raise ValueError("bandwidth must be > 0")
-        if not self.ms_max_iter >= 1:
-            raise ValueError("ms_max_iter must be >= 1")
-        if not self.shift_tol > 0:
-            raise ValueError("shift_tol must be > 0")
-        if self.merge_radius is not None and not self.merge_radius > 0:
-            raise ValueError("merge_radius must be > 0 when set")
         if not self.min_iou >= 0:
             raise ValueError("min_iou must be >= 0")
         if not self.fps > 0:

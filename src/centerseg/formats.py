@@ -26,6 +26,7 @@ problem.
 from __future__ import annotations
 
 import json
+import reprlib
 import struct
 from dataclasses import asdict, fields
 from itertools import accumulate
@@ -161,8 +162,11 @@ def manifest_loads(data: bytes | str, path="<memory>") -> tuple[int, GridDims, l
     A manifest in the writer's form has its run lists parsed in numpy
     (see :func:`_writer_form_doc`); any other JSON goes through
     ``json.loads`` whole, so the two give the same instances or the same
-    error. Errors are FormatErrors at the byte offset of the problem, or
-    at byte 0 when it is in a value rather than in the JSON syntax.
+    error. Values are checked, not converted: ``frame``, ``width`` and
+    ``height`` are integers, ``score`` a number and ``predicted_center``
+    a list of two numbers, where bools are not numbers. Errors are
+    FormatErrors at the byte offset of the problem, or at byte 0 when it
+    is in a value rather than in the JSON syntax.
     """
     if isinstance(data, str):
         text = data
@@ -173,16 +177,16 @@ def manifest_loads(data: bytes | str, path="<memory>") -> tuple[int, GridDims, l
         doc = _writer_form_doc(data)
         if doc is None:
             doc = json.loads(text)
-        dims = GridDims(int(doc["width"]), int(doc["height"]))
+        dims = GridDims(_integer(doc["width"], "width"), _integer(doc["height"], "height"))
         if dims.npixels > MAX_FRAME_PIXELS:  # masks are decoded into crops of up to this many pixels
             raise FormatError(path, 0, f"{dims.width}x{dims.height} exceeds the {MAX_FRAME_PIXELS}-pixel limit")
-        frame_id = int(doc["frame"])
+        frame_id = _integer(doc["frame"], "frame")
         instances = [
             Instance(
                 mask=rle_decode(entry["rle"], dims),
-                predicted_center=(float(entry["predicted_center"][0]), float(entry["predicted_center"][1])),
+                predicted_center=_center(entry["predicted_center"]),
                 cls=entry["class"],
-                score=float(entry["score"]),
+                score=_number(entry["score"], "score"),
             )
             for entry in doc["instances"]
         ]
@@ -192,6 +196,27 @@ def manifest_loads(data: bytes | str, path="<memory>") -> tuple[int, GridDims, l
         offset = len(text[: getattr(exc, "pos", 0)].encode("utf-8", "surrogatepass"))  # json counts characters
         raise FormatError(path, offset, f"bad instance manifest: {exc}") from exc
     return frame_id, dims, instances
+
+
+def _integer(value, name: str) -> int:
+    """``value``, which must be a JSON integer (``true`` and ``false`` are not)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}")
+    return value
+
+
+def _number(value, name: str) -> float:
+    """``value`` as a float; it must be a JSON number, not a bool or a string."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number, got {reprlib.repr(value)}")
+    return float(value)
+
+
+def _center(value) -> tuple[float, float]:
+    """A predicted center: a JSON list of exactly two numbers."""
+    if type(value) is not list or len(value) != 2:
+        raise ValueError(f"predicted_center must be a list of two numbers, got {reprlib.repr(value)}")
+    return _number(value[0], "predicted_center"), _number(value[1], "predicted_center")
 
 
 _RLE_OPEN = b'"rle":['
@@ -424,7 +449,7 @@ def parse_bool(value: str) -> bool:
 def _kv_load(text: str, path, kind: str, defaults: dict[str, object], required=()) -> dict[str, object]:
     """The keys a flat key=value file sets, each value parsed as the type of
     its key's default in ``defaults``: bool, int and str as themselves,
-    anything else (``None`` included) as float.
+    anything else as float.
 
     Keys outside ``defaults`` and missing ``required`` keys are
     FormatErrors at byte 0; a line that is not key=value, or a value its
@@ -466,8 +491,6 @@ def config_dumps(cfg: PipelineConfig) -> str:
     lines = []
     for f in fields(PipelineConfig):
         value = getattr(cfg, f.name)
-        if value is None:
-            continue
         if isinstance(value, bool):
             value = "on" if value else "off"
         lines.append(f"{f.name}={value}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centers import CenterCloud, filter_centers, generate_centers
-from .clustering import ClusterLabels, dbscan, dbscan_naive, mean_shift
+from .clustering import ClusterLabels, dbscan, mean_shift
 from .config import PipelineConfig
 from .grids import (
     CLASS_PIGLET,
@@ -187,15 +187,7 @@ def sow_instance(semantic: SemanticMap) -> Instance | None:
 def _cluster(points: np.ndarray, config: PipelineConfig) -> ClusterLabels:
     if config.algo == "dbscan":
         return dbscan(points, config.eps, config.min_pts)
-    if config.algo == "dbscan-naive":
-        return dbscan_naive(points, config.eps, config.min_pts)
-    return mean_shift(
-        points,
-        bandwidth=config.bandwidth,
-        max_iter=config.ms_max_iter,
-        shift_tol=config.shift_tol,
-        merge_radius=config.merge_radius,
-    )
+    return mean_shift(points, bandwidth=config.bandwidth)
 
 
 def segment_frame(

@@ -437,7 +437,7 @@ def test_c9_format_fuzz():
             eps=float(rng.uniform(0.5, 10)),
             min_pts=int(rng.integers(1, 100)),
             rc2m=bool(rng.random() < 0.5),
-            algo=str(rng.choice(["dbscan", "dbscan-naive", "mean-shift"])),
+            algo=str(rng.choice(["dbscan", "mean-shift"])),
             min_iou=float(rng.uniform(0, 0.5)),
             fps=float(rng.uniform(1, 30)),
         )

@@ -13,6 +13,10 @@ from centerseg import (
     GridDims,
     PipelineConfig,
     SemanticMap,
+    dbscan,
+    dbscan_naive,
+    filter_centers,
+    generate_centers,
     instances_from_labels,
     reassign_unlabeled,
     segment_frame,
@@ -312,8 +316,13 @@ def test_segment_mean_shift_backend():
     assert len(piglets) == 2
 
 
-def test_segment_naive_backend_matches_grid():
-    dims, sem, off, _ = make_two_piglet_frame()
-    a = segment_frame(sem, off, PipelineConfig(min_pts=10, min_neighbors=5, algo="dbscan"))
-    b = segment_frame(sem, off, PipelineConfig(min_pts=10, min_neighbors=5, algo="dbscan-naive"))
-    assert [i.mask for i in a.instances] == [i.mask for i in b.instances]
+def test_grid_dbscan_matches_naive_on_retained_votes():
+    _, sem, off, _ = make_two_piglet_frame()
+    cfg = PipelineConfig(min_pts=10, min_neighbors=5)
+    cloud = filter_centers(
+        generate_centers(sem, off), radius_t=cfg.t, min_neighbors=cfg.min_neighbors, strategy=cfg.filter_strategy
+    )
+    votes = cloud.positions[~cloud.filtered]
+    labels = dbscan(votes, cfg.eps, cfg.min_pts)
+    assert labels.n_groups == 2
+    assert labels == dbscan_naive(votes, cfg.eps, cfg.min_pts)

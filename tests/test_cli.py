@@ -139,6 +139,23 @@ def test_gradcheck_cli(capsys):
     assert "component" in out
 
 
+def test_zero_counts_are_bad_arguments(tmp_path, capsys):
+    # zero cases would check nothing and print pass; zero frames would write nothing
+    synth = ["synth", str(write_scene(tmp_path)), "--out-dir", str(tmp_path / "out")]
+    for argv, flag in (
+        (["gradcheck", "--n", "0"], "--n"),
+        (["gradcheck", "--corrupt", "--n", "0"], "--n"),
+        (["gradcheck", "--n", "-3"], "--n"),
+        ([*synth, "--frames", "0"], "--frames"),
+        ([*synth, "--frames", "-1"], "--frames"),
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert f"argument {flag}: expected an integer of at least 1, got '{argv[-1]}'" in captured.err, argv
+        assert "pass" not in captured.out, argv
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_plus_flag_overrides(tmp_path):
     cfg_path = tmp_path / "pipe.cfg"
     cfg_path.write_text("eps=2.0\nmin_pts=9\n")
@@ -165,6 +182,26 @@ def test_unknown_config_key_exit_2(tmp_path):
         "--out", str(tmp_path / "o.json"), "--config", str(cfg_path),
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("line", ["ms_max_iter=300", "shift_tol=0.001", "merge_radius=1"])
+def test_removed_config_keys_exit_2(tmp_path, capsys, line):
+    cfg_path = tmp_path / "pipe.cfg"
+    cfg_path.write_text(f"eps=2.5\n{line}\n")
+    segment = ["segment", str(tmp_path / "a.ccsm"), str(tmp_path / "a.ccof"), "--out", str(tmp_path / "o.json")]
+    assert main([*segment, "--config", str(cfg_path)]) == 2
+    key = line.split("=")[0]
+    assert f"error: {cfg_path}: byte 0: unknown config keys: {key}" in capsys.readouterr().err
+
+
+def test_naive_dbscan_is_not_a_backend(tmp_path, capsys):
+    segment = ["segment", str(tmp_path / "a.ccsm"), str(tmp_path / "a.ccof"), "--out", str(tmp_path / "o.json")]
+    assert main([*segment, "--algo", "dbscan-naive"]) == 2
+    assert "argument --algo: invalid choice: 'dbscan-naive'" in capsys.readouterr().err
+    cfg_path = tmp_path / "pipe.cfg"
+    cfg_path.write_text("algo=dbscan-naive\n")
+    assert main([*segment, "--config", str(cfg_path)]) == 2
+    assert f"error: {cfg_path}: byte 0: algo must be one of ('dbscan', 'mean-shift')" in capsys.readouterr().err
 
 
 def test_eval_grid_mismatch_names_frame_and_files(tmp_path, capsys):
@@ -269,7 +306,7 @@ def test_nan_config_values_fail_before_any_frame_is_read(tmp_path, capsys):
             assert main([*argv, flag, value]) == 2, (flag, value)
             name = flag[2:].replace("-", "_")
             assert f"error: {name} must be " in capsys.readouterr().err, (flag, value)
-    for key in ("eps", "t", "shift_tol", "merge_radius"):
+    for key in ("eps", "t", "bandwidth"):
         cfg_path = tmp_path / "pipe.cfg"
         cfg_path.write_text(f"{key}=nan\n")
         assert main([*segment, "--config", str(cfg_path)]) == 2, key

@@ -23,7 +23,6 @@ from centerseg import (
     mean_shift,
     neighbor_counts,
     neighbors_at_least,
-    radius_neighbors,
 )
 
 
@@ -197,31 +196,17 @@ def test_mean_shift_has_no_noise_label():
 
 def test_grid_index_empty():
     index = GridIndex(np.zeros((0, 2)), 2.0)
-    assert radius_neighbors(index, (0.0, 0.0), 2.0).size == 0
+    assert len(index) == 0 and index.counts_within().size == 0
+    assert neighbor_counts(np.zeros((0, 2)), 2.0).size == 0
+    assert neighbors_at_least(np.zeros((0, 2)), 2.0, 1).size == 0
 
 
 def test_radius_boundary_is_closed():
-    index = GridIndex(np.array([[3.0, 0.0]]), 3.0)
-    assert list(radius_neighbors(index, (0.0, 0.0), 3.0)) == [0]
-
-
-def test_radius_mismatch_rejected():
-    index = GridIndex(np.array([[0.0, 0.0]]), 2.0)
-    with pytest.raises(ValueError):
-        radius_neighbors(index, (0.0, 0.0), 3.0)
-
-
-def test_radius_neighbors_vs_exhaustive():
-    rng = np.random.default_rng(55)
-    pts = rng.uniform(-40, 40, (500, 2))
-    r = 4.0
-    index = GridIndex(pts, r)
-    for _ in range(50):
-        q = rng.uniform(-45, 45, 2)
-        got = radius_neighbors(index, q, r)
-        d2 = ((pts - q) ** 2).sum(1)
-        expected = np.flatnonzero(d2 <= r * r)
-        assert np.array_equal(got, expected)
+    # squared distances exactly eps*eps: 3*3 on an axis, 3*3 + 4*4 across
+    for pts, eps in (([[0.0, 0.0], [3.0, 0.0]], 3.0), ([[0.0, 0.0], [3.0, 4.0]], 5.0)):
+        assert list(neighbor_counts(pts, eps)) == [2, 2]
+        assert list(dbscan(pts, eps, 2).labels) == [1, 1]
+        assert dbscan(pts, np.nextafter(eps, 0), 2).n_groups == 0
 
 
 def test_neighbor_counts_vs_bruteforce():

@@ -193,6 +193,34 @@ def test_manifest_header_bounds_the_frame(run_capped):
     assert done.stdout.startswith("huge.json: byte 0: 100000x100000 exceeds"), done.stdout
 
 
+MANIFEST_3X3 = (
+    '{"frame":0,"height":3,"instances":[{"class":"piglet","predicted_center":[1.0,1.0],'
+    '"rle":[4,5],"score":0.9}],"width":3}'
+)
+MANIFEST_3X3_VALUES = {"frame": "0", "height": "3", "width": "3", "predicted_center": "[1.0,1.0]", "score": "0.9"}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("predicted_center", '"12"'), ("width", "3.7"), ("frame", "true"), ("score", '"0.9"'),
+     ("frame", '"0"'), ("frame", "0.0"), ("height", "false"), ("width", "null"), ("score", "true"),
+     ("predicted_center", "[1.0]"), ("predicted_center", "[1.0,1.0,1.0]"), ("predicted_center", '["1",1.0]'),
+     ("predicted_center", "[1.0,false]"), ("predicted_center", '{"x":1.0,"y":1.0}')],
+)
+def test_manifest_values_are_checked_not_coerced(field, value):
+    text = MANIFEST_3X3.replace(f'"{field}":{MANIFEST_3X3_VALUES[field]}', f'"{field}":{value}')
+    assert text != MANIFEST_3X3
+    with pytest.raises(FormatError, match=f"x.json: byte 0: bad instance manifest: {field} must be"):
+        manifest_loads(text, path="x.json")
+
+
+def test_manifest_numbers_may_be_integers():
+    text = MANIFEST_3X3.replace("[1.0,1.0]", "[1,2]").replace("0.9", "1")
+    _, _, [inst] = manifest_loads(text)
+    assert inst.predicted_center == (1.0, 2.0) and inst.score == 1.0
+    assert type(inst.score) is float and all(type(v) is float for v in inst.predicted_center)
+
+
 NON_UTF8_FILES = {
     "manifest": (read_manifest, b'{"frame":0,"height":3,"instances":[],"width":3\xff}\n', 46),
     "config": (read_config, b"eps=2\xff\n", 5),
@@ -305,6 +333,20 @@ def mutate_list(text, draw, change):
     return text[: span.start()] + change(span) + text[span.end() :]
 
 
+VALUE = re.compile(r'"(?:frame|height|width|score)":([^,}]+)|"predicted_center":(\[[^\]]*\])')
+VALUES = [
+    '"1"', '""', "true", "false", "null", "0", "1", "-1", "1.0", "0.5", "1e400", "{}",
+    "[1.0,2.0]", "[1,2]", "[1.0]", "[]", "[1.0,2.0,3.0]", '["1",2.0]', "[true,1.0]", "[[1.0],2.0]",
+]
+
+
+def mutate_value(text, draw):
+    """``text`` with one drawn header or instance value replaced by a drawn JSON value."""
+    match = draw(st.sampled_from(list(VALUE.finditer(text))))
+    group = 1 if match.group(1) is not None else 2
+    return text[: match.start(group)] + draw(st.sampled_from(VALUES)) + text[match.end(group) :]
+
+
 MUTATIONS = {
     "none": lambda text, draw: text,
     "space in a list": lambda text, draw: mutate_runs(text, draw, lambda r: draw(st.sampled_from([" ", "\n", "\t"])) + r),
@@ -335,10 +377,11 @@ MUTATIONS = {
     "swapped lists": lambda text, draw: RUN_LIST.sub(lambda m: '"rle":[' + ",".join(reversed(m.group(1).split(","))) + "]", text),
     "non-ASCII class": lambda text, draw: text.replace('"class":"piglet"', '"class":"piglét"', 1),
     "escaped class": lambda text, draw: text.replace('"class":"sow"', '"class":"s\\u006fw"', 1),
+    "value type": mutate_value,
 }
 
 
-@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=420, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(text=writer_manifests(), kind=st.sampled_from(sorted(MUTATIONS)), data=st.data())
 def test_numpy_run_lists_read_as_json_does(text, kind, data):
     """Writer-form manifests, mutated, read the same through the numpy
