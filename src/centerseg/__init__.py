@@ -17,11 +17,10 @@ from .clustering import (
     dbscan,
     dbscan_naive,
     mean_shift,
-    neighbor_counts,
     neighbors_at_least,
 )
 from .config import PipelineConfig
-from .evaluation import APResult, IOU_THRESHOLDS, average_precision, map_eval, mask_iou
+from .evaluation import APResult, IOU_THRESHOLDS, map_eval, mask_iou
 from .grids import (
     BACKGROUND,
     CLASS_PIGLET,
@@ -106,7 +105,6 @@ __all__ = [
     "Track",
     "TrackMetrics",
     "TrackState",
-    "average_precision",
     "dbscan",
     "dbscan_naive",
     "filter_centers",
@@ -120,7 +118,6 @@ __all__ = [
     "map_eval",
     "mask_iou",
     "mean_shift",
-    "neighbor_counts",
     "neighbors_at_least",
     "offset_loss",
     "pair_frames",

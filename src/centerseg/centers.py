@@ -84,15 +84,10 @@ def generate_centers(semantic: SemanticMap, offsets: OffsetMap) -> CenterCloud:
     )
 
 
-def filter_centers(
-    cloud: CenterCloud,
-    radius_t: float = 20.0,
-    min_neighbors: int = 10,
-    strategy: str = FILTER_DENSITY,
-) -> CenterCloud:
+def filter_centers(cloud: CenterCloud, radius_t: float, min_neighbors: int, strategy: str) -> CenterCloud:
     """Flag outlier votes before clustering.
 
-    ``density`` (default): a vote is retained iff at least
+    ``density``: a vote is retained iff at least
     ``min_neighbors`` OTHER votes lie within ``radius_t`` of it.
     ``offset-magnitude``: retained iff its displacement from the source
     pixel is at most ``radius_t``.

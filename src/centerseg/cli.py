@@ -11,7 +11,7 @@ path and then publishes no manifest. ``track`` reads each manifest just
 before its update and publishes its output files together once all are
 written. ``eval`` loads its manifests one after another: it accepts
 --jobs, which has no effect. ``gradcheck --n`` and ``synth --frames``
-must be at least 1 too.
+must be at least 1 too, and ``gradcheck --seed`` at least 0.
 """
 
 from __future__ import annotations
@@ -39,15 +39,23 @@ class UsageError(Exception):
     """Bad command-line arguments; ``main`` exits 2 with the message."""
 
 
-def _count(value: str) -> int:
-    """A worker, case or frame count: an integer of at least 1."""
-    try:
-        count = int(value)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {value!r}")
-    return count
+def _at_least(low: int):
+    """An argparse type that accepts integers of at least ``low``."""
+
+    def parse(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            number = low - 1
+        if number < low:
+            raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {value!r}")
+        return number
+
+    return parse
+
+
+_count = _at_least(1)  # a worker, case or frame count
+_seed = _at_least(0)  # numpy seeds its generators from non-negative integers
 
 
 def _on_off(value: str) -> bool:
@@ -216,7 +224,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
-    reports = run_gradient_checks(n_cases=args.n, seed=args.seed or 0, corrupt=args.corrupt)
+    reports = run_gradient_checks(n_cases=args.n, seed=args.seed, corrupt=args.corrupt)
     ok = True
     for rep in reports:
         status = "pass" if rep["passed"] else "FAIL"
@@ -281,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference checks of the loss gradients")
     p.add_argument("--n", type=_count, default=50)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--corrupt", action="store_true", help="negative-control hook: corrupt one gradient component")
     p.set_defaults(func=_cmd_gradcheck)
 

@@ -328,32 +328,26 @@ class GridIndex:
         high = np.bincount(k, size * near, minlength=n).astype(np.int64)
         return low, high, near & ~full
 
-    def counts_within(self, at_least: int | None = None) -> np.ndarray:
-        """Neighbor count of each sorted position, itself included.
+    def counts_within(self, at_least: int) -> np.ndarray:
+        """Neighbor count of each sorted position, itself included, refined
+        only until it decides ``count >= at_least``, which the result then
+        answers exactly.
 
-        Exact without ``at_least``. With it, a count is refined only until
-        it decides ``count >= at_least``, which the result then answers
-        exactly: a cell of at least ``at_least`` points whose box fits in
-        the ball needs no work, and so does a cell whose 25 neighbor cells
-        hold fewer. Other points add or skip whole neighbor cells by
+        A cell of at least ``at_least`` points whose box fits in the ball
+        needs no work, and so does a cell whose 25 neighbor cells hold
+        fewer. Other points add or skip whole neighbor cells by
         bounding-box bounds. Points still undecided split each partly
         covered cell into its sub-cells and add or skip those by their
         own boxes; single pairs are tested only for points undecided
         after that, against partly covered sub-cells.
         """
         out = self.counts[self.cell_of]
-        if at_least is None:
-            todo = np.arange(out.size)
+        dense = self.counts >= at_least
+        dense[dense] = self.tight(self.box[:, dense])
+        todo = np.flatnonzero(~(dense | (self.reach < at_least))[self.cell_of])
 
-            def undecided(low, high):
-                return high > low
-        else:
-            dense = self.counts >= at_least
-            dense[dense] = self.tight(self.box[:, dense])
-            todo = np.flatnonzero(~(dense | (self.reach < at_least))[self.cell_of])
-
-            def undecided(low, high):
-                return (low < at_least) & (high >= at_least)
+        def undecided(low, high):
+            return (low < at_least) & (high >= at_least)
 
         for lo in range(0, todo.size, _QUERY_BLOCK):
             q = todo[lo : lo + _QUERY_BLOCK]
@@ -380,20 +374,11 @@ class GridIndex:
         return out
 
 
-def neighbor_counts(points, radius: float) -> np.ndarray:
-    """Number of points within ``radius`` of each point, including itself.
-
-    Matches an exhaustive pairwise scan exactly.
-    """
-    index = GridIndex(points, radius)
-    return index.unsorted(index.counts_within(), 0)
-
-
 def neighbors_at_least(points, radius: float, k: int) -> np.ndarray:
     """Whether each point has at least ``k`` points within ``radius``, itself included.
 
-    Equal to ``neighbor_counts(points, radius) >= k``, but each count is
-    only refined as far as the answer needs.
+    Agrees with an exhaustive pairwise count, but each count is only
+    refined as far as the answer needs.
     """
     index = GridIndex(points, radius)
     return index.unsorted(index.counts_within(k) >= k, k <= 0)
@@ -606,28 +591,24 @@ def _flat_window_means(
     return out
 
 
-def mean_shift(
-    points,
-    bandwidth: float = 10.0,
-    max_iter: int = 300,
-    shift_tol: float = 1e-3,
-    merge_radius: float | None = None,
-) -> ClusterLabels:
+# mean-shift's round limit, and the shift below which a point stops
+_MAX_ITER = 300
+_SHIFT_TOL = 1e-3
+
+
+def mean_shift(points, bandwidth: float) -> ClusterLabels:
     """Flat-kernel mean-shift mode seeking.
 
     Every point is iteratively moved to the mean of the original points
-    within ``bandwidth`` of it until the shift falls below ``shift_tol``
-    or ``max_iter`` is hit. Converged modes within ``merge_radius``
-    (default bandwidth / 2) merge into one group, scanning points in
-    ascending order; every point gets its mode's label, so there is no
-    noise label. Neighbor search is a deliberate exhaustive scan; this is
-    the slow quadratic baseline the grid-indexed DBSCAN is measured
-    against.
+    within ``bandwidth`` of it until the shift falls below 1e-3 or 300
+    rounds have run. Converged modes within ``bandwidth / 2`` merge into
+    one group, scanning points in ascending order; every point gets its
+    mode's label, so there is no noise label. Neighbor search is a
+    deliberate exhaustive scan; this is the slow quadratic baseline the
+    grid-indexed DBSCAN is measured against.
     """
     if bandwidth <= 0:
         raise ValueError("bandwidth must be > 0")
-    if merge_radius is None:
-        merge_radius = bandwidth / 2.0
     pts = _as_points(points)
     n = pts.shape[0]
     if n == 0:
@@ -636,15 +617,16 @@ def mean_shift(
     modes = pts.copy()
     pts_sq = (pts * pts).sum(axis=1)
     active = np.arange(n)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if active.size == 0:
             break
         shifted = _flat_window_means(modes[active], pts, pts_sq, bw2)
         moved = np.hypot(shifted[:, 0] - modes[active, 0], shifted[:, 1] - modes[active, 1])
         modes[active] = shifted
-        active = active[moved >= shift_tol]
+        active = active[moved >= _SHIFT_TOL]
     labels = np.zeros(n, dtype=np.int64)
     reps: list[np.ndarray] = []
+    merge_radius = bandwidth / 2.0
     merge2 = merge_radius * merge_radius
     for i in range(n):
         if reps:

@@ -1,4 +1,4 @@
-"""Mask IoU, average precision, and multi-threshold mAP.
+"""Mask IoU and multi-threshold mAP.
 
 Protocol: detections are ranked by descending score and greedily matched
 to the unmatched ground truth of highest IoU (a match needs IoU at or
@@ -100,15 +100,6 @@ def _ap_from_pool(scores: np.ndarray, tp: np.ndarray, n_gt: int) -> float:
     return float(((mrec[steps] - mrec[steps - 1]) * mpre[steps]).sum())
 
 
-def average_precision(
-    dets: list[Instance], gts: list[BinaryMask], iou_thresh: float = 0.5
-) -> float:
-    """Single-pool AP of one detection list against one ground-truth list."""
-    iou = _iou_matrix([d.mask for d in dets], gts)
-    scores, tp = _greedy_match(iou, np.array([d.score for d in dets]), iou_thresh)
-    return _ap_from_pool(scores, tp, len(gts))
-
-
 @dataclass
 class APResult:
     """Per-threshold, per-class, and combined average precision."""
@@ -119,12 +110,8 @@ class APResult:
     map: float
 
 
-def map_eval(
-    pred_frames: list[list[Instance]],
-    gt_frames: list[list[Instance]],
-    thresholds: tuple[float, ...] = IOU_THRESHOLDS,
-) -> APResult:
-    """Multi-frame, multi-threshold mAP.
+def map_eval(pred_frames: list[list[Instance]], gt_frames: list[list[Instance]]) -> APResult:
+    """Multi-frame mAP over the IoU thresholds ``IOU_THRESHOLDS``.
 
     Frame lists must be aligned. Classes enter the average only when
     they appear in the ground truth. A fully empty evaluation (no ground
@@ -150,7 +137,7 @@ def map_eval(
             (_iou_matrix([d.mask for d in dets], gts), np.array([d.score for d in dets]))
             for dets, gts in zip(cls_preds, cls_gts)
         ]
-        for thr in thresholds:
+        for thr in IOU_THRESHOLDS:
             pooled_scores = []
             pooled_tp = []
             for iou, scores in tables:
@@ -162,10 +149,10 @@ def map_eval(
             )
 
     per_threshold = {
-        thr: float(np.mean([per_ct[(cls, thr)] for cls in classes])) for thr in thresholds
+        thr: float(np.mean([per_ct[(cls, thr)] for cls in classes])) for thr in IOU_THRESHOLDS
     }
     per_class = {
-        cls: float(np.mean([per_ct[(cls, thr)] for thr in thresholds])) for cls in classes
+        cls: float(np.mean([per_ct[(cls, thr)] for thr in IOU_THRESHOLDS])) for cls in classes
     }
     overall = float(np.mean(list(per_class.values())))
     return APResult(per_ct, per_threshold, per_class, overall)

@@ -163,10 +163,10 @@ def manifest_loads(data: bytes | str, path="<memory>") -> tuple[int, GridDims, l
     (see :func:`_writer_form_doc`); any other JSON goes through
     ``json.loads`` whole, so the two give the same instances or the same
     error. Values are checked, not converted: ``frame``, ``width`` and
-    ``height`` are integers, ``score`` a number and ``predicted_center``
-    a list of two numbers, where bools are not numbers. Errors are
-    FormatErrors at the byte offset of the problem, or at byte 0 when it
-    is in a value rather than in the JSON syntax.
+    ``height`` are integers, ``instances`` a list, ``score`` a number and
+    ``predicted_center`` a list of two numbers, where bools are not
+    numbers. Errors are FormatErrors at the byte offset of the problem,
+    or at byte 0 when it is in a value rather than in the JSON syntax.
     """
     if isinstance(data, str):
         text = data
@@ -181,6 +181,8 @@ def manifest_loads(data: bytes | str, path="<memory>") -> tuple[int, GridDims, l
         if dims.npixels > MAX_FRAME_PIXELS:  # masks are decoded into crops of up to this many pixels
             raise FormatError(path, 0, f"{dims.width}x{dims.height} exceeds the {MAX_FRAME_PIXELS}-pixel limit")
         frame_id = _integer(doc["frame"], "frame")
+        if type(doc["instances"]) is not list:
+            raise ValueError(f"instances must be a list, got {reprlib.repr(doc['instances'])}")
         instances = [
             Instance(
                 mask=rle_decode(entry["rle"], dims),

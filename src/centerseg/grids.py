@@ -55,16 +55,6 @@ class GridDims:
         """Numpy array shape (rows, cols)."""
         return (self.height, self.width)
 
-    def flat_index(self, x: int, y: int) -> int:
-        if not (0 <= x < self.width and 0 <= y < self.height):
-            raise ValueError(f"pixel ({x}, {y}) out of bounds for {self.width}x{self.height}")
-        return y * self.width + x
-
-    def coords(self, p: int) -> tuple[int, int]:
-        if not (0 <= p < self.npixels):
-            raise ValueError(f"flat index {p} out of bounds for {self.width}x{self.height}")
-        return (p % self.width, p // self.width)
-
 
 @dataclass(frozen=True, eq=False, init=False)
 class BinaryMask:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import BinaryMask, DimensionMismatch, OffsetMap
+from .grids import DimensionMismatch
 
 PROB_CLAMP = 1e-7  # keeps log() finite on saturated predictions
 
@@ -110,42 +110,21 @@ def focal_loss(pred_probs, true_probs, params: FocalParams | None = None) -> Los
     return LossValue(value=max(value, 0.0), gradient=grad)
 
 
-def _offset_arrays(pred, true, mask):
-    if isinstance(pred, OffsetMap):
-        pred_arr = pred.vectors.astype(np.float64)
-        dims = pred.dims
-    else:
-        pred_arr = np.asarray(pred, dtype=np.float64)
-        dims = None
-    if isinstance(true, OffsetMap):
-        true_arr = true.vectors.astype(np.float64)
-        true_dims = true.dims
-    else:
-        true_arr = np.asarray(true, dtype=np.float64)
-        true_dims = None
-    if dims is not None and true_dims is not None and dims != true_dims:
-        raise DimensionMismatch("offset maps differ in size")
-    if pred_arr.shape != true_arr.shape:
-        raise DimensionMismatch(f"shape mismatch: {pred_arr.shape} vs {true_arr.shape}")
-    if isinstance(mask, BinaryMask):
-        mask_arr = mask.pixels.astype(np.float64)
-    else:
-        mask_arr = np.asarray(mask, dtype=np.float64)
-    if mask_arr.shape != pred_arr.shape[:-1]:
-        raise DimensionMismatch(f"mask shape {mask_arr.shape} does not match {pred_arr.shape[:-1]}")
-    return pred_arr, true_arr, mask_arr
-
-
 def offset_loss(pred_offsets, true_offsets, piglet_mask) -> LossValue:
     """Masked mean squared displacement error.
 
     value = (1/N) * sum_x mask(x) * ||true(x) - pred(x)||^2 with N the
-    total pixel count (not the masked count). Inputs may be OffsetMap
-    values or raw (..., 2) arrays; the mask is a BinaryMask or an array
-    of the matching leading shape. Gradient is w.r.t. the predictions:
-    (2/N) * mask * (pred - true).
+    total pixel count (not the masked count). The offsets are (..., 2)
+    arrays and the mask an array of the matching leading shape. Gradient
+    is w.r.t. the predictions: (2/N) * mask * (pred - true).
     """
-    pred_arr, true_arr, mask_arr = _offset_arrays(pred_offsets, true_offsets, piglet_mask)
+    pred_arr = np.asarray(pred_offsets, dtype=np.float64)
+    true_arr = np.asarray(true_offsets, dtype=np.float64)
+    mask_arr = np.asarray(piglet_mask, dtype=np.float64)
+    if pred_arr.shape != true_arr.shape:
+        raise DimensionMismatch(f"shape mismatch: {pred_arr.shape} vs {true_arr.shape}")
+    if mask_arr.shape != pred_arr.shape[:-1]:
+        raise DimensionMismatch(f"mask shape {mask_arr.shape} does not match {pred_arr.shape[:-1]}")
     n = mask_arr.size
     diff = pred_arr - true_arr
     sq = (diff**2).sum(axis=-1)
@@ -196,9 +175,7 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(rel.max()) if rel.size else 0.0
 
 
-def run_gradient_checks(
-    n_cases: int = 50, seed: int = 0, tol: float = 1e-4, corrupt: bool = False
-):
+def run_gradient_checks(n_cases: int, seed: int, tol: float = 1e-4, corrupt: bool = False):
     """Finite-difference checks of both loss gradients on random inputs.
 
     Returns a list of dict reports, one per loss, with the max relative

@@ -62,8 +62,8 @@ class TrackState:
     """Mutable cross-frame identity table, advanced one frame at a time."""
 
     dims: GridDims
-    fps: float = 7.0
-    min_iou: float = 0.0
+    fps: float
+    min_iou: float
     next_id: int = 0
     frame_index: int = 0
     active: dict[int, Track] = field(default_factory=dict)
@@ -85,7 +85,7 @@ class TrackState:
 
 
 def pair_frames(
-    prev: list[Instance], cur: list[Instance], min_iou: float = 0.0
+    prev: list[Instance], cur: list[Instance], min_iou: float
 ) -> tuple[list[tuple[int, int, float]], list[int], list[int]]:
     """Greedy global-maximum IoU association between two instance lists.
 

@@ -305,7 +305,7 @@ def test_c8_tracking():
     for seed in range(20):
         spec, speeds = lane_sequence_spec(seed)
         frames = cs.gen_sequence(spec, n_frames)
-        state = cs.TrackState(dims=SUITE_DIMS, fps=7.0)
+        state = cs.TrackState(dims=SUITE_DIMS, fps=7.0, min_iou=0.0)
         for frame in frames:
             result = cs.segment_frame(frame.semantic, frame.offsets, cfg)
             cs.update_tracks(state, result)
@@ -323,7 +323,7 @@ def test_c8_tracking():
 
     # closed-form metric fixtures
     fixture_dims = cs.GridDims(10, 10)
-    fixture_state = cs.TrackState(dims=fixture_dims, fps=7.0)
+    fixture_state = cs.TrackState(dims=fixture_dims, fps=7.0, min_iou=0.0)
     track = cs.Track(track_id=0, cls="piglet", dims=fixture_dims)
     for i, area in enumerate([10, 9, 8, 7, 6, 5]):
         px = np.zeros((10, 10), dtype=bool)

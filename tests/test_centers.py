@@ -96,7 +96,7 @@ def test_filter_min_neighbors_zero_keeps_all():
     labels = (rng.random(dims.shape) < 0.2).astype(np.uint8)
     sem = SemanticMap(dims, labels)
     off = OffsetMap(dims, rng.normal(0, 5, (*dims.shape, 2)).astype(np.float32))
-    cloud = filter_centers(generate_centers(sem, off), radius_t=1.0, min_neighbors=0)
+    cloud = filter_centers(generate_centers(sem, off), radius_t=1.0, min_neighbors=0, strategy="density")
     assert not cloud.filtered.any()
 
 
@@ -111,7 +111,7 @@ def test_filter_lone_outlier():
     vec[0, 60] = (150.0 - 60.0, 0.0)  # vote at x = 150, 100 px from the pack
     sem = SemanticMap(dims, labels)
     cloud = filter_centers(
-        generate_centers(sem, OffsetMap(dims, vec)), radius_t=20.0, min_neighbors=10
+        generate_centers(sem, OffsetMap(dims, vec)), radius_t=20.0, min_neighbors=10, strategy="density"
     )
     assert int(cloud.filtered.sum()) == 1
     assert bool(cloud.filtered[60])
@@ -133,7 +133,7 @@ def test_filter_matches_bruteforce():
         filtered=np.zeros(n, dtype=bool),
     )
     radius, need = 5.0, 4
-    got = filter_centers(cloud, radius_t=radius, min_neighbors=need)
+    got = filter_centers(cloud, radius_t=radius, min_neighbors=need, strategy="density")
     d2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(-1)
     others = (d2 <= radius * radius).sum(1) - 1
     expected = ~(others >= need)
@@ -152,4 +152,4 @@ def test_filter_offset_magnitude_strategy():
     got = filter_centers(cloud, radius_t=5.0, min_neighbors=0, strategy="offset-magnitude")
     assert list(got.filtered) == [False, True]
     with pytest.raises(ValueError):
-        filter_centers(cloud, radius_t=5.0, strategy="nonsense")
+        filter_centers(cloud, radius_t=5.0, min_neighbors=0, strategy="nonsense")

@@ -156,6 +156,27 @@ def test_zero_counts_are_bad_arguments(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_negative_seed_is_a_bad_argument(capsys):
+    # numpy would refuse a negative seed only once the checks run, as a runtime error
+    for seed in ("-1", "x"):
+        assert main(["gradcheck", "--n", "1", "--seed", seed]) == 2, seed
+        captured = capsys.readouterr()
+        assert f"argument --seed: expected an integer of at least 0, got '{seed}'" in captured.err, seed
+        assert "pass" not in captured.out, seed
+    assert main(["gradcheck", "--n", "1", "--seed", "0"]) == 0
+
+
+def test_eval_instances_not_a_list_exit_2_names_file(tmp_path, capsys):
+    # iterating either would read as an empty frame and print mAP = 1.000
+    for value in ("{}", '""'):
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"frame":0,"height":3,"instances":{value},"width":3}}\n')
+        assert main(["eval", "--pred", str(bad), "--gt", str(bad)]) == 2, value
+        captured = capsys.readouterr()
+        assert f"error: {bad}: byte 0: bad instance manifest: instances must be a list" in captured.err, value
+        assert "mAP" not in captured.out, value
+
+
 def test_config_file_plus_flag_overrides(tmp_path):
     cfg_path = tmp_path / "pipe.cfg"
     cfg_path.write_text("eps=2.0\nmin_pts=9\n")

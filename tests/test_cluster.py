@@ -21,7 +21,6 @@ from centerseg import (
     dbscan_naive,
     filter_centers,
     mean_shift,
-    neighbor_counts,
     neighbors_at_least,
 )
 
@@ -48,7 +47,7 @@ def test_empty_input():
     for fn in (dbscan, dbscan_naive):
         labels = fn(np.zeros((0, 2)), 2.5, 50)
         assert labels.n_groups == 0 and len(labels) == 0
-    labels = mean_shift(np.zeros((0, 2)))
+    labels = mean_shift(np.zeros((0, 2)), bandwidth=10.0)
     assert labels.n_groups == 0
 
 
@@ -196,9 +195,19 @@ def test_mean_shift_has_no_noise_label():
 
 def test_grid_index_empty():
     index = GridIndex(np.zeros((0, 2)), 2.0)
-    assert len(index) == 0 and index.counts_within().size == 0
-    assert neighbor_counts(np.zeros((0, 2)), 2.0).size == 0
+    assert len(index) == 0 and index.counts_within(1).size == 0
     assert neighbors_at_least(np.zeros((0, 2)), 2.0, 1).size == 0
+
+
+def counts_read_back(decide, n):
+    """Each point's neighbor count read back from threshold decisions: the
+    number of k in 1..n for which ``decide(k)`` holds."""
+    return sum((decide(k).astype(np.int64) for k in range(1, n + 1)), np.zeros(n, dtype=np.int64))
+
+
+def neighbor_counts(pts, r):
+    """The exact neighbor counts, read back from ``neighbors_at_least`` at every k."""
+    return counts_read_back(lambda k: neighbors_at_least(pts, r, k), len(pts))
 
 
 def test_radius_boundary_is_closed():
@@ -207,15 +216,6 @@ def test_radius_boundary_is_closed():
         assert list(neighbor_counts(pts, eps)) == [2, 2]
         assert list(dbscan(pts, eps, 2).labels) == [1, 1]
         assert dbscan(pts, np.nextafter(eps, 0), 2).n_groups == 0
-
-
-def test_neighbor_counts_vs_bruteforce():
-    rng = np.random.default_rng(77)
-    pts = rng.uniform(0, 50, (400, 2))
-    r = 3.0
-    got = neighbor_counts(pts, r)
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
-    assert np.array_equal(got, (d2 <= r * r).sum(1))
 
 
 # --- the DBSCAN contract, checked clause by clause --------------------------
@@ -348,7 +348,7 @@ def test_huge_finite_coordinates():
             positions=pts,
             filtered=np.zeros(n, dtype=bool),
         )
-        flagged = filter_centers(cloud, radius_t=20.0, min_neighbors=10).filtered
+        flagged = filter_centers(cloud, radius_t=20.0, min_neighbors=10, strategy="density").filtered
     assert np.array_equal(flagged, counts - 1 < 10)
 
 
@@ -364,6 +364,7 @@ def test_non_finite_votes_have_no_neighbors():
 def test_neighbors_at_least_vs_bruteforce():
     # every k that some point's count equals, and one past it: the decisions at the edge
     rng = np.random.default_rng(41)
+    clouds = []
     for trial in range(16):
         if trial % 2:
             pts = random_cloud(rng, int(rng.integers(1, 600)))
@@ -371,9 +372,15 @@ def test_neighbors_at_least_vs_bruteforce():
         else:
             pts = rng.integers(0, 12, (int(rng.integers(1, 200)), 2)) * 0.5
             r = float(rng.choice([0.5, 1.0, 1.5]))
+        clouds.append((pts, r))
+    uniform = np.random.default_rng(77).uniform(0, 50, (400, 2))
+    clouds.append((uniform, 3.0))
+    for pts, r in clouds:
         counts = (((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1) <= r * r).sum(1)
         for k in np.unique(np.r_[0, counts, counts + 1]):
             assert np.array_equal(neighbors_at_least(pts, r, k), counts >= k)
+    # and every k on the uniform cloud: the exact counts read back
+    assert np.array_equal(neighbor_counts(uniform, 3.0), exact_counts(uniform, 3.0))
 
 
 def test_memory_grows_with_votes_not_neighborhoods():
@@ -442,12 +449,14 @@ def exact_counts(pts, r):
 def test_sub_cell_counts_and_dbscan_match_brute_force(pts, eps, min_pts, blocks):
     pair_block, query_block = blocks
     counts = exact_counts(pts, eps)
+    index = GridIndex(pts, eps)
+    # the exact counts, read back from the decision at every k
+    exact = counts_read_back(lambda k: index.unsorted(index.counts_within(k) >= k, False), len(pts))
+    assert np.array_equal(exact, counts)
     with (
         mock.patch.object(clustering, "_PAIR_BLOCK", pair_block or clustering._PAIR_BLOCK),
         mock.patch.object(clustering, "_QUERY_BLOCK", query_block or clustering._QUERY_BLOCK),
     ):
-        index = GridIndex(pts, eps)
-        assert np.array_equal(index.unsorted(index.counts_within(), 0), counts)
         # refined only as far as the decision: a lower bound that decides it exactly
         bounded = index.unsorted(index.counts_within(min_pts), 0)
         assert np.array_equal(bounded >= min_pts, counts >= min_pts)

@@ -1,4 +1,4 @@
-"""Mask IoU, average precision, and mAP."""
+"""Mask IoU and mAP."""
 
 import warnings
 
@@ -12,7 +12,6 @@ from centerseg import (
     DimensionMismatch,
     GridDims,
     Instance,
-    average_precision,
     map_eval,
     mask_iou,
 )
@@ -28,6 +27,11 @@ def block(x0, y0, x1, y1, dims=DIMS):
 
 def det(mask, score, cls="piglet"):
     return Instance(mask=mask, predicted_center=(0.0, 0.0), cls=cls, score=score)
+
+
+def ap50(dets, gts):
+    """Piglet AP at IoU 0.5 of one frame's detections against its ground-truth masks."""
+    return map_eval([dets], [[det(g, 1.0) for g in gts]]).per_class_threshold[("piglet", 0.5)]
 
 
 def test_iou_identical():
@@ -59,7 +63,7 @@ def test_iou_dims_mismatch():
 def test_ap_perfect_predictions():
     gts = [block(0, 0, 4, 4), block(8, 8, 12, 12)]
     dets = [det(gts[0], 0.3), det(gts[1], 0.9)]
-    assert average_precision(dets, gts, 0.5) == 1.0
+    assert ap50(dets, gts) == 1.0
 
 
 def test_ap_fp_then_tp_hand_case():
@@ -67,11 +71,11 @@ def test_ap_fp_then_tp_hand_case():
     overlap = block(0, 0, 4, 3)  # IoU 12/16 = 0.75 >= 0.5
     miss = block(10, 10, 13, 13)
     dets = [det(miss, 0.9), det(overlap, 0.4)]
-    assert average_precision(dets, [gt], 0.5) == 0.5
+    assert ap50(dets, [gt]) == 0.5
 
 
 def test_ap_no_detections():
-    assert average_precision([], [block(0, 0, 2, 2)], 0.5) == 0.0
+    assert ap50([], [block(0, 0, 2, 2)]) == 0.0
 
 
 def test_map_perfect_over_frames():
@@ -134,9 +138,9 @@ def test_map_misaligned_frames():
 def test_ap_monotone_response():
     gt_a, gt_b = block(0, 0, 4, 4), block(8, 8, 12, 12)
     partial = [det(gt_a, 0.6)]
-    ap_before = average_precision(partial, [gt_a, gt_b], 0.5)
+    ap_before = ap50(partial, [gt_a, gt_b])
     improved = [det(gt_b, 0.9)] + partial
-    ap_after = average_precision(improved, [gt_a, gt_b], 0.5)
+    ap_after = ap50(improved, [gt_a, gt_b])
     assert ap_after >= ap_before
 
 
@@ -160,9 +164,9 @@ def test_ap_score_shift_invariance(scores, shift):
         "half": lambda v: v / 2,
         "affine": lambda v: 0.2 + 0.7 * v,
     }[shift]
-    base = average_precision(dets, gts, 0.5)
+    base = ap50(dets, gts)
     moved = [det(d.mask, transform(d.score)) for d in dets]
-    assert average_precision(moved, gts, 0.5) == pytest.approx(base, abs=1e-12)
+    assert ap50(moved, gts) == pytest.approx(base, abs=1e-12)
 
 
 def full_frame_iou(a, b):

@@ -193,11 +193,12 @@ def test_manifest_header_bounds_the_frame(run_capped):
     assert done.stdout.startswith("huge.json: byte 0: 100000x100000 exceeds"), done.stdout
 
 
-MANIFEST_3X3 = (
-    '{"frame":0,"height":3,"instances":[{"class":"piglet","predicted_center":[1.0,1.0],'
-    '"rle":[4,5],"score":0.9}],"width":3}'
-)
-MANIFEST_3X3_VALUES = {"frame": "0", "height": "3", "width": "3", "predicted_center": "[1.0,1.0]", "score": "0.9"}
+MANIFEST_3X3_INSTANCES = '[{"class":"piglet","predicted_center":[1.0,1.0],"rle":[4,5],"score":0.9}]'
+MANIFEST_3X3 = '{"frame":0,"height":3,"instances":' + MANIFEST_3X3_INSTANCES + ',"width":3}'
+MANIFEST_3X3_VALUES = {
+    "frame": "0", "height": "3", "width": "3", "predicted_center": "[1.0,1.0]", "score": "0.9",
+    "instances": MANIFEST_3X3_INSTANCES,
+}
 
 
 @pytest.mark.parametrize(
@@ -205,7 +206,8 @@ MANIFEST_3X3_VALUES = {"frame": "0", "height": "3", "width": "3", "predicted_cen
     [("predicted_center", '"12"'), ("width", "3.7"), ("frame", "true"), ("score", '"0.9"'),
      ("frame", '"0"'), ("frame", "0.0"), ("height", "false"), ("width", "null"), ("score", "true"),
      ("predicted_center", "[1.0]"), ("predicted_center", "[1.0,1.0,1.0]"), ("predicted_center", '["1",1.0]'),
-     ("predicted_center", "[1.0,false]"), ("predicted_center", '{"x":1.0,"y":1.0}')],
+     ("predicted_center", "[1.0,false]"), ("predicted_center", '{"x":1.0,"y":1.0}'),
+     ("instances", "{}"), ("instances", '""')],
 )
 def test_manifest_values_are_checked_not_coerced(field, value):
     text = MANIFEST_3X3.replace(f'"{field}":{MANIFEST_3X3_VALUES[field]}', f'"{field}":{value}')
@@ -334,6 +336,7 @@ def mutate_list(text, draw, change):
 
 
 VALUE = re.compile(r'"(?:frame|height|width|score)":([^,}]+)|"predicted_center":(\[[^\]]*\])')
+INSTANCES = re.compile(r'"instances":(\[.*\]),"width":')
 VALUES = [
     '"1"', '""', "true", "false", "null", "0", "1", "-1", "1.0", "0.5", "1e400", "{}",
     "[1.0,2.0]", "[1,2]", "[1.0]", "[]", "[1.0,2.0,3.0]", '["1",2.0]', "[true,1.0]", "[[1.0],2.0]",
@@ -341,10 +344,11 @@ VALUES = [
 
 
 def mutate_value(text, draw):
-    """``text`` with one drawn header or instance value replaced by a drawn JSON value."""
-    match = draw(st.sampled_from(list(VALUE.finditer(text))))
-    group = 1 if match.group(1) is not None else 2
-    return text[: match.start(group)] + draw(st.sampled_from(VALUES)) + text[match.end(group) :]
+    """``text`` with one drawn header or instance value, or the whole
+    ``instances`` list, replaced by a drawn JSON value."""
+    spans = [match.span(match.lastindex) for match in VALUE.finditer(text)] + [INSTANCES.search(text).span(1)]
+    start, end = draw(st.sampled_from(spans))
+    return text[:start] + draw(st.sampled_from(VALUES)) + text[end:]
 
 
 MUTATIONS = {

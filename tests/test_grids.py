@@ -30,25 +30,6 @@ def test_dims_validation():
         GridDims(5, -1)
 
 
-def test_flat_index_bijection():
-    dims = GridDims(7, 5)
-    seen = set()
-    for y in range(dims.height):
-        for x in range(dims.width):
-            p = dims.flat_index(x, y)
-            assert dims.coords(p) == (x, y)
-            seen.add(p)
-    assert seen == set(range(dims.npixels))
-
-
-def test_flat_index_bounds():
-    dims = GridDims(4, 4)
-    with pytest.raises(ValueError):
-        dims.flat_index(4, 0)
-    with pytest.raises(ValueError):
-        dims.coords(16)
-
-
 def test_rle_encode_examples():
     dims = GridDims(2, 2)
     mask = BinaryMask.from_flat_indices(dims, [1, 2])  # pixels (1,0) and (0,1)
@@ -157,7 +138,7 @@ def test_bbox_and_area_of_empty_full_and_corner_pixels():
     assert full.bbox == (0, 4, 0, 5)
     assert full.area == 20
     for x, y in [(0, 0), (4, 0), (0, 3), (4, 3)]:
-        corner = BinaryMask.from_flat_indices(dims, [dims.flat_index(x, y)])
+        corner = BinaryMask.from_flat_indices(dims, [y * dims.width + x])
         assert corner.bbox == (y, y + 1, x, x + 1)
         assert corner.area == 1
 

@@ -40,7 +40,7 @@ def frame(instances):
 
 def test_pair_identical_lists():
     insts = [block_inst(0, 0, 4, 4), block_inst(10, 10, 5, 5)]
-    pairs, new, dropped = pair_frames(insts, [block_inst(0, 0, 4, 4), block_inst(10, 10, 5, 5)])
+    pairs, new, dropped = pair_frames(insts, [block_inst(0, 0, 4, 4), block_inst(10, 10, 5, 5)], min_iou=0.0)
     assert [(i, j) for i, j, _ in pairs] == [(0, 0), (1, 1)]
     assert new == [] and dropped == []
 
@@ -48,14 +48,14 @@ def test_pair_identical_lists():
 def test_pair_leftover_prev_dropped():
     prev = [block_inst(0, 0, 4, 4), block_inst(12, 12, 4, 4)]
     cur = [block_inst(1, 0, 4, 4)]  # overlaps only prev[0]
-    pairs, new, dropped = pair_frames(prev, cur)
+    pairs, new, dropped = pair_frames(prev, cur, min_iou=0.0)
     assert len(pairs) == 1 and pairs[0][:2] == (0, 0)
     assert new == [] and dropped == [1]
 
 
 def test_pair_empty_prev_all_new():
     cur = [block_inst(0, 0, 3, 3), block_inst(8, 8, 3, 3)]
-    pairs, new, dropped = pair_frames([], cur)
+    pairs, new, dropped = pair_frames([], cur, min_iou=0.0)
     assert pairs == [] and new == [0, 1] and dropped == []
 
 
@@ -70,7 +70,7 @@ def test_pair_greedy_takes_global_max():
     # prev[0] overlaps cur[0] weakly and cur[1] strongly; prev[1] overlaps cur[0]
     prev = [block_inst(0, 0, 6, 4), block_inst(0, 4, 6, 4)]
     cur = [block_inst(0, 2, 6, 4), block_inst(0, 0, 6, 4)]
-    pairs, _, _ = pair_frames(prev, cur)
+    pairs, _, _ = pair_frames(prev, cur, min_iou=0.0)
     got = {(i, j) for i, j, _ in pairs}
     assert (0, 1) in got  # identical boxes pair first
     table_best = max(iou for _, _, iou in pairs)
@@ -81,13 +81,13 @@ def test_pair_conservation():
     rng = np.random.default_rng(0)
     prev = [block_inst(int(rng.integers(0, 18)), int(rng.integers(0, 18)), 5, 5) for _ in range(4)]
     cur = [block_inst(int(rng.integers(0, 18)), int(rng.integers(0, 18)), 5, 5) for _ in range(6)]
-    pairs, new, dropped = pair_frames(prev, cur)
+    pairs, new, dropped = pair_frames(prev, cur, min_iou=0.0)
     assert len(pairs) + len(new) == len(cur)
     assert len(pairs) + len(dropped) == len(prev)
 
 
 def test_static_scene_keeps_ids_and_zero_movement():
-    state = TrackState(dims=DIMS, fps=7.0)
+    state = TrackState(dims=DIMS, fps=7.0, min_iou=0.0)
     insts = [block_inst(2, 2, 5, 5), block_inst(12, 12, 6, 6, cls="sow")]
     for _ in range(10):
         update_tracks(state, frame(insts))
@@ -99,7 +99,7 @@ def test_static_scene_keeps_ids_and_zero_movement():
 
 
 def test_constant_velocity_movement():
-    state = TrackState(dims=GridDims(64, 24))
+    state = TrackState(dims=GridDims(64, 24), fps=7.0, min_iou=0.0)
     for step in range(8):
         inst = block_inst(3 * step, 4, 5, 5, dims=GridDims(64, 24))
         update_tracks(state, frame([inst]))
@@ -108,7 +108,7 @@ def test_constant_velocity_movement():
 
 
 def test_disappear_reappear_issues_new_id():
-    state = TrackState(dims=DIMS)
+    state = TrackState(dims=DIMS, fps=7.0, min_iou=0.0)
     inst = block_inst(4, 4, 5, 5)
     update_tracks(state, frame([inst]))
     update_tracks(state, frame([]))
@@ -126,7 +126,7 @@ def test_movement_uses_predicted_center_not_mask_centroid():
     mask = BinaryMask(DIMS, px)
     a = Instance(mask=mask, predicted_center=(10.0, 10.0), cls="piglet", score=1.0)
     b = Instance(mask=mask, predicted_center=(13.0, 14.0), cls="piglet", score=1.0)
-    state = TrackState(dims=DIMS)
+    state = TrackState(dims=DIMS, fps=7.0, min_iou=0.0)
     update_tracks(state, frame([a]))
     update_tracks(state, frame([b]))
     (track,) = state.all_tracks()
@@ -134,7 +134,7 @@ def test_movement_uses_predicted_center_not_mask_centroid():
 
 
 def test_track_metrics_formulas():
-    state = TrackState(dims=GridDims(10, 10), fps=7.0)
+    state = TrackState(dims=GridDims(10, 10), fps=7.0, min_iou=0.0)
     track = Track(track_id=0, cls="piglet", dims=GridDims(10, 10))
     for i, area in enumerate([10, 9, 8, 7, 6, 5]):
         px = np.zeros((10, 10), dtype=bool)
@@ -153,7 +153,7 @@ def test_track_metrics_formulas():
 
 
 def test_single_record_track():
-    state = TrackState(dims=DIMS, fps=7.0)
+    state = TrackState(dims=DIMS, fps=7.0, min_iou=0.0)
     update_tracks(state, frame([block_inst(0, 0, 3, 3)]))
     (track,) = state.all_tracks()
     metrics = track_metrics(track, state)
@@ -163,7 +163,7 @@ def test_single_record_track():
 
 
 def test_speed_formula_sample():
-    state = TrackState(dims=DIMS, fps=7.0)
+    state = TrackState(dims=DIMS, fps=7.0, min_iou=0.0)
     track = Track(track_id=3, cls="sow", dims=DIMS)
     inst = block_inst(0, 0, 4, 4)
     for i in range(29):
@@ -176,7 +176,7 @@ def test_speed_formula_sample():
 
 def test_space_usage_and_pen_mask():
     dims = GridDims(10, 10)
-    state = TrackState(dims=dims)
+    state = TrackState(dims=dims, fps=7.0, min_iou=0.0)
     update_tracks(state, frame([block_inst(0, 0, 5, 5, dims=dims)]))
     (track,) = state.all_tracks()
     assert track_metrics(track, state).space_usage == 25 / 100
@@ -187,7 +187,7 @@ def test_space_usage_and_pen_mask():
 
 def test_heatmap_accumulates():
     dims = GridDims(8, 8)
-    state = TrackState(dims=dims)
+    state = TrackState(dims=dims, fps=7.0, min_iou=0.0)
     full = block_inst(0, 0, 8, 8, dims=dims)
     for _ in range(3):
         update_tracks(state, frame([full]))
@@ -235,7 +235,7 @@ def test_movement_additivity():
 
 def test_id_uniqueness_over_churn():
     rng = np.random.default_rng(5)
-    state = TrackState(dims=DIMS)
+    state = TrackState(dims=DIMS, fps=7.0, min_iou=0.0)
     for _ in range(12):
         k = int(rng.integers(0, 4))
         insts = [
@@ -296,6 +296,6 @@ def test_occupancy_memory_follows_the_visited_area():
 @pytest.mark.parametrize("field", ["fps", "min_iou"])
 def test_track_state_rejects_nan(field):
     with pytest.raises(ValueError, match=field):
-        TrackState(dims=DIMS, **{field: float("nan")})
+        TrackState(dims=DIMS, **{"fps": 7.0, "min_iou": 0.0, field: float("nan")})
     with pytest.raises(ValueError, match="min_iou"):
         pair_frames([block_inst(0, 0, 2, 2)], [block_inst(0, 0, 2, 2)], min_iou=float("nan"))
