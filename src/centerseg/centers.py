@@ -74,7 +74,7 @@ def generate_centers(semantic: SemanticMap, offsets: OffsetMap) -> CenterCloud:
     w = semantic.dims.width
     xs = (src % w).astype(np.float64)
     ys = (src // w).astype(np.float64)
-    vec = offsets.vectors.reshape(-1, 2)[src].astype(np.float64)
+    vec = offsets.vectors.reshape(-1, 2).take(src, axis=0).astype(np.float64)
     pos = np.stack([xs + vec[:, 0], ys + vec[:, 1]], axis=1)
     return CenterCloud(
         dims=semantic.dims,

@@ -48,12 +48,27 @@ def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def _iou_matrix(det_masks: list[BinaryMask], gt_masks: list[BinaryMask]) -> np.ndarray:
-    """Pairwise :func:`mask_iou` table, detections by ground truths."""
-    table = np.zeros((len(det_masks), len(gt_masks)))
-    for i, a in enumerate(det_masks):
-        for j, b in enumerate(gt_masks):
-            table[i, j] = mask_iou(a, b)
+def _iou_matrix(rows: list[BinaryMask], cols: list[BinaryMask], iou) -> np.ndarray:
+    """Pairwise IoU table, ``rows`` by ``cols``, from the kernel ``iou``.
+
+    One test over all pairs of bounding boxes finds the pairs that
+    overlap; only those go through ``iou``, in row-major order, and every
+    other entry is the exact 0.0 that :func:`mask_iou` gives disjoint
+    boxes. Pairs on grids of different dims go through ``iou`` too, so
+    it raises on the first of them as it would without the test.
+    """
+    table = np.zeros((len(rows), len(cols)))
+    if table.size == 0:
+        return table
+    a = np.array([m.bbox for m in rows])[:, None, :]
+    b = np.array([m.bbox for m in cols])[None, :, :]
+    todo = (np.maximum(a[..., 0], b[..., 0]) < np.minimum(a[..., 1], b[..., 1])) & (
+        np.maximum(a[..., 2], b[..., 2]) < np.minimum(a[..., 3], b[..., 3])
+    )
+    if len({m.dims for m in (*rows, *cols)}) > 1:
+        todo |= np.array([[p.dims != q.dims for q in cols] for p in rows])
+    for i, j in zip(*np.nonzero(todo)):
+        table[i, j] = iou(rows[i], cols[j])
     return table
 
 
@@ -134,7 +149,7 @@ def map_eval(pred_frames: list[list[Instance]], gt_frames: list[list[Instance]])
         n_gt = sum(len(frame) for frame in cls_gts)
         # one IoU matrix per frame, shared across all thresholds
         tables = [
-            (_iou_matrix([d.mask for d in dets], gts), np.array([d.score for d in dets]))
+            (_iou_matrix([d.mask for d in dets], gts, mask_iou), np.array([d.score for d in dets]))
             for dets, gts in zip(cls_preds, cls_gts)
         ]
         for thr in IOU_THRESHOLDS:

@@ -89,11 +89,12 @@ def semantic_to_bytes(sm: SemanticMap) -> bytes:
 
 def semantic_from_bytes(data: bytes, path="<memory>") -> SemanticMap:
     dims = _parse_header(data, SEMANTIC_MAGIC, 1, path)
-    labels = np.frombuffer(data, dtype="|u1", offset=13).reshape(dims.shape)
-    if labels.max(initial=0) > 2:
+    labels = np.frombuffer(data, dtype="|u1", offset=13).reshape(dims.shape)  # a read-only view of data
+    try:
+        return SemanticMap(dims, labels)
+    except ValueError:  # the map's own range check
         bad = 13 + int(np.argmax(labels.ravel() > 2))
-        raise FormatError(path, bad, "class byte outside {0, 1, 2}")
-    return SemanticMap(dims, labels.copy())
+        raise FormatError(path, bad, "class byte outside {0, 1, 2}") from None
 
 
 def offsets_to_bytes(om: OffsetMap) -> bytes:
@@ -103,10 +104,11 @@ def offsets_to_bytes(om: OffsetMap) -> bytes:
 
 def offsets_from_bytes(data: bytes, path="<memory>") -> OffsetMap:
     dims = _parse_header(data, OFFSET_MAGIC, 8, path)
-    vec = np.frombuffer(data, dtype="<f4", offset=13).reshape(*dims.shape, 2)
-    if not np.all(np.isfinite(vec)):
-        raise FormatError(path, 13, "non-finite offset component")
-    return OffsetMap(dims, vec.copy())
+    vec = np.frombuffer(data, dtype="<f4", offset=13).reshape(*dims.shape, 2)  # a read-only view of data
+    try:
+        return OffsetMap(dims, vec)
+    except ValueError:  # the map's own finiteness check
+        raise FormatError(path, 13, "non-finite offset component") from None
 
 
 def write_semantic(path, sm: SemanticMap) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evaluation import mask_iou
+from .evaluation import _iou_matrix, mask_iou
 from .grids import DimensionMismatch, GridDims
 from .instances import FrameResult, Instance
 
@@ -93,17 +93,15 @@ def pair_frames(
     bound in descending IoU order with IoU strictly above ``min_iou``;
     ties break to the lower previous index, then the lower current
     index. ``new`` are unpaired current indices, ``dropped`` unpaired
-    previous indices, both ascending.
+    previous indices, both ascending. Only pairs whose boxes overlap go
+    through :func:`mask_iou`; the rest have IoU 0.0 and never pair.
     """
     if not min_iou >= 0:  # NaN too: no IoU would ever fall to it
         raise ValueError("min_iou must be >= 0")
     m, k = len(prev), len(cur)
     pairs: list[tuple[int, int, float]] = []
     if m and k:
-        table = np.empty((m, k))
-        for i, p in enumerate(prev):
-            for j, c in enumerate(cur):
-                table[i, j] = mask_iou(p.mask, c.mask)
+        table = _iou_matrix([p.mask for p in prev], [c.mask for c in cur], mask_iou)
         while True:
             flat = int(np.argmax(table))  # first occurrence = lowest (prev, cur)
             i, j = divmod(flat, k)

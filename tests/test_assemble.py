@@ -1,5 +1,6 @@
 """Mask assembly: group tracing, sow instance, residual reassignment."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centerseg import (
+    BinaryMask,
     CenterCloud,
     ClusterLabels,
     GridDims,
@@ -222,6 +224,149 @@ def test_reassign_more_votes_than_block():
     raw[:6] = np.arange(1, 7)
     for block in (1, 7, 64, 4999, 5000, 1 << 13):
         check_reassign_against_dense(pos, raw, 6, block)
+
+
+def loop_reassign(cloud, labels):
+    """Oracle: every group-0 vote against every centroid in group order, a
+    running minimum of ``dx*dx + dy*dy`` replaced only when strictly closer
+    (so ties go to the lowest id, and no finite distance means group 1)."""
+    new = labels.labels.copy()
+    if labels.n_groups == 0:
+        return new
+    centroids = [cloud.positions[labels.labels == g].mean(axis=0).tolist() for g in range(1, labels.n_groups + 1)]
+    for v in np.flatnonzero(labels.labels == 0):
+        x, y = cloud.positions[v]
+        best, nearest = np.inf, 1
+        for group, (cx, cy) in enumerate(centroids, start=1):
+            d = (x - cx) * (x - cx) + (y - cy) * (y - cy)
+            if d < best:
+                best, nearest = d, group
+        new[v] = nearest
+    return new
+
+
+# on cell edges (inside and outside the frame), at integers and halves
+# (exact squared distances, so exact ties between integer centroids), at
+# the float32 extremes, anywhere, and not finite
+RESIDUAL_COORD = st.one_of(
+    st.integers(-2, 6).map(lambda k: 16.0 * k),
+    st.sampled_from([np.nextafter(16.0, 0.0), np.nextafter(32.0, 64.0), -0.0, 5e-324]),
+    st.integers(-40, 200).map(lambda k: k / 2),
+    st.sampled_from([-3e38, 3e38]),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+
+
+@st.composite
+def residual_frame(draw):
+    """A cloud and labels whose group-0 votes test the nearest-centroid rule
+    at cell edges, on exact bisectors of two centroids, outside the frame,
+    at +-3e38 and at non-finite positions (which ``CenterCloud`` admits)."""
+    n_groups = draw(st.integers(1, 5))
+    # each group's first vote is at an integer point, so a group of one has an integer centroid
+    anchors = [(float(draw(st.integers(-20, 90))), float(draw(st.integers(-20, 60)))) for _ in range(n_groups)]
+    pos = list(anchors)
+    raw = list(range(1, n_groups + 1))
+    for group in draw(st.lists(st.integers(1, n_groups), max_size=4)):
+        pos.append((draw(RESIDUAL_COORD), draw(RESIDUAL_COORD)))
+        raw.append(group)
+    residual = draw(st.lists(st.tuples(RESIDUAL_COORD, RESIDUAL_COORD), min_size=1, max_size=24))
+    for _ in range(draw(st.integers(0, 6))):
+        # on the perpendicular bisector of two anchors: m + t * p with p orthogonal to b - a
+        (ax, ay), (bx, by) = draw(st.sampled_from(anchors)), draw(st.sampled_from(anchors))
+        t = draw(st.integers(-3, 3))
+        residual.append(((ax + bx) / 2 - t * (by - ay), (ay + by) / 2 + t * (bx - ax)))
+    pos += residual
+    raw += [0] * len(residual)
+    order = draw(st.permutations(range(len(raw))))
+    width = draw(st.integers(1, 70))
+    height = max(draw(st.integers(1, 50)), -(-len(raw) // width))
+    cloud = cloud_from(GridDims(width, height), np.arange(len(raw)), [pos[i] for i in order])
+    return cloud, ClusterLabels(np.array([raw[i] for i in order], dtype=np.int64), n_groups)
+
+
+@settings(max_examples=150, deadline=None)
+@given(frame=residual_frame(), block=st.sampled_from([1, 3, 8, 1 << 15]))
+def test_reassign_matches_loop_oracle(frame, block):
+    cloud, labels = frame
+    with warnings.catch_warnings(record=True) as seen, np.errstate(all="ignore"):
+        warnings.simplefilter("always")
+        expected = loop_reassign(cloud, labels)
+        with mock.patch.object(instances_module, "_REASSIGN_BLOCK", block):
+            got = reassign_unlabeled(cloud, labels)
+    assert np.array_equal(got.labels, expected)
+    # no position outside the cells is cast to an integer
+    assert not any("cast" in str(w.message) for w in seen)
+
+
+def test_reassign_decides_whole_cells_and_exact_ties():
+    # centroids at x = 8 and x = 40: the cells x < 16 and x >= 32 go whole to one
+    # group, the cells in between hold the bisector x = 24, an exact tie
+    dims = GridDims(64, 16)
+    pos = [(8.0, 8.0), (40.0, 8.0), (0.0, 0.0), (15.999, 15.0), (24.0, 3.0), (23.5, 3.0), (32.0, 0.0), (63.5, 15.5)]
+    cloud = cloud_from(dims, np.arange(len(pos)), pos)
+    labels = ClusterLabels(np.array([1, 2, 0, 0, 0, 0, 0, 0]), 2)
+    assert instances_module._cell_groups(dims, np.array([[8.0, 8.0], [40.0, 8.0]])).tolist() == [[1, 0, 2, 2]]
+    assert list(reassign_unlabeled(cloud, labels).labels) == [1, 2, 1, 1, 1, 1, 2, 2]
+
+
+@pytest.mark.parametrize("width, height", [(64, 32), (70, 33), (16, 16), (5, 40)])
+def test_reassign_on_cell_and_frame_edges(width, height):
+    # every vote on a cell edge or just below one, from outside the frame's cells on one side to the other
+    ticks = [t for k in range(-1, -(-max(width, height) // 16) + 3) for t in (16.0 * k, np.nextafter(16.0 * k, -1.0))]
+    residual = [(x, y) for x in ticks for y in ticks]
+    anchors = [(8.0, 24.0), (40.0, 8.0), (21.0, 3.0)]
+    pos = anchors + residual
+    dims = GridDims(width, max(height, -(-len(pos) // width)))
+    cloud = cloud_from(dims, np.arange(len(pos)), pos)
+    labels = ClusterLabels(np.r_[1, 2, 3, np.zeros(len(residual), dtype=np.int64)], 3)
+    assert np.array_equal(reassign_unlabeled(cloud, labels).labels, loop_reassign(cloud, labels))
+
+
+def flat_index_masks(cloud, traced):
+    return [
+        BinaryMask.from_flat_indices(cloud.dims, cloud.source_pixels[traced.labels == g])
+        for g in range(1, traced.n_groups + 1)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), rc2m=st.booleans())
+def test_masks_match_flat_index_masks(data, rc2m):
+    width, height = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 24))
+    n = data.draw(st.integers(1, min(width * height, 120)))
+    if data.draw(st.booleans()):  # one run of pixels, across row ends
+        first = data.draw(st.integers(0, width * height - n))
+        src = np.arange(first, first + n)
+    else:
+        src = np.array(sorted(data.draw(st.sets(st.integers(0, width * height - 1), min_size=n, max_size=n))))
+    n_groups = data.draw(st.integers(1, min(n, 6)))
+    raw = data.draw(st.lists(st.integers(0, n_groups), min_size=n, max_size=n))
+    raw[:n_groups] = range(1, n_groups + 1)
+    raw = data.draw(st.permutations(raw))
+    pos = data.draw(st.lists(st.tuples(st.integers(-5, 45), st.integers(-5, 30)), min_size=n, max_size=n))
+    cloud = cloud_from(GridDims(width, height), src, np.array(pos, dtype=np.float64))
+    labels = ClusterLabels(np.array(raw, dtype=np.int64), n_groups)
+    traced = reassign_unlabeled(cloud, labels) if rc2m else labels
+    got = instances_from_labels(cloud, labels, traced if rc2m else None)
+    assert [inst.mask for inst in got] == flat_index_masks(cloud, traced)
+    sizes = np.bincount(labels.labels, minlength=n_groups + 1)[1:]
+    for g, inst in enumerate(got, start=1):
+        center = cloud.positions[labels.labels == g].mean(axis=0)
+        assert inst.predicted_center == (float(center[0]), float(center[1]))
+        assert inst.score == sizes[g - 1] / sizes.max()
+
+
+def test_masks_from_more_groups_than_an_8_bit_label():
+    dims = GridDims(40, 10)
+    n_groups = 300
+    src = np.arange(n_groups + 2)
+    cloud = cloud_from(dims, src, np.stack([src % 40, src // 40], axis=1).astype(np.float64))
+    labels = ClusterLabels(np.r_[np.arange(1, n_groups + 1), 3, n_groups], n_groups)
+    got = instances_from_labels(cloud, labels)
+    assert [inst.mask for inst in got] == flat_index_masks(cloud, labels)
+    assert got[-1].mask.bbox == (7, 8, 19, 22)
 
 
 def test_masks_from_reassigned_labels_keep_clustered_centers():

@@ -1,6 +1,7 @@
 """Mask IoU and mAP."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from centerseg import (
     map_eval,
     mask_iou,
 )
+from centerseg import evaluation
 
 DIMS = GridDims(16, 16)
 
@@ -245,3 +247,80 @@ def test_map_eval_rejects_masks_from_different_grids():
     gt = block(0, 0, 2, 4, dims=GridDims(4, 8))
     with pytest.raises(DimensionMismatch):
         map_eval([[det(pred, 0.9)]], [[det(gt, 1.0)]])
+
+
+def all_pairs_table(rows, cols):
+    """The IoU table without the box test: :func:`mask_iou` on every pair."""
+    return np.array([[mask_iou(a, b) for b in cols] for a in rows]).reshape(len(rows), len(cols))
+
+
+def boxes_overlap(a, b):
+    (ar0, ar1, ac0, ac1), (br0, br1, bc0, bc1) = a.bbox, b.bbox
+    return max(ar0, br0) < min(ar1, br1) and max(ac0, bc0) < min(ac1, bc1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=st.lists(mask_pair(), min_size=1, max_size=4), shift=st.integers(0, 3))
+def test_iou_table_matches_all_pairs(pairs, shift):
+    rows = [a for a, _ in pairs]
+    cols = [b for _, b in pairs]
+    cols = cols[shift % len(cols) :] + cols[: shift % len(cols)]
+    measured = []
+
+    def iou(a, b):
+        measured.append((a, b))
+        return mask_iou(a, b)
+
+    table = evaluation._iou_matrix(rows, cols, iou)
+    assert table.tobytes() == all_pairs_table(rows, cols).tobytes()  # the skipped entries are +0.0
+    assert len(measured) == sum(boxes_overlap(a, b) for a in rows for b in cols)
+
+
+def test_iou_table_skips_touching_and_empty_masks():
+    a = block(0, 0, 4, 4)
+    below = block(0, 4, 4, 8)  # a's last row ends where its first row starts: r1 == r0'
+    right = block(4, 0, 8, 4)
+    shared_row = block(0, 3, 4, 6)
+    empty = BinaryMask.empty(DIMS)
+    measured = []
+
+    def iou(p, q):
+        measured.append((p, q))
+        return mask_iou(p, q)
+
+    table = evaluation._iou_matrix([a, empty], [below, right, shared_row, empty], iou)
+    assert table.tolist() == [[0.0, 0.0, 4 / 24, 0.0], [0.0, 0.0, 0.0, 0.0]]
+    assert measured == [(a, shared_row)]
+    assert evaluation._iou_matrix([], [a], iou).shape == (0, 1)
+
+
+def test_iou_table_dims_mismatch_with_disjoint_boxes():
+    a = block(0, 0, 2, 2, dims=GridDims(8, 8))
+    b = block(5, 5, 7, 7, dims=GridDims(9, 8))
+    with pytest.raises(DimensionMismatch, match="8x8 vs 9x8"):
+        evaluation._iou_matrix([a, a], [a, b], mask_iou)
+    with pytest.raises(DimensionMismatch):
+        map_eval([[det(a, 0.9)]], [[det(b, 1.0)]])
+
+
+@st.composite
+def eval_frame(draw):
+    def inst(score):
+        y0, y1, x0, x1 = draw(box())
+        return det(block(x0, y0, x1, y1), score, draw(st.sampled_from(["piglet", "sow"])))
+
+    dets = [inst(draw(st.sampled_from([0.2, 0.5, 0.9, 1.0]))) for _ in range(draw(st.integers(0, 4)))]
+    gts = [inst(1.0) for _ in range(draw(st.integers(0, 4)))]
+    return dets, gts
+
+
+@settings(max_examples=40, deadline=None)
+@given(frames=st.lists(eval_frame(), min_size=1, max_size=3))
+def test_map_eval_matches_all_pairs_tables(frames):
+    preds = [dets for dets, _ in frames]
+    gts = [g for _, g in frames]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # no ground truth at all is vacuous
+        with mock.patch.object(evaluation, "_iou_matrix", lambda rows, cols, iou: all_pairs_table(rows, cols)):
+            expected = map_eval(preds, gts)
+        assert map_eval(preds, gts) == expected

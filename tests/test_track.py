@@ -1,6 +1,7 @@
 """Frame pairing, track bookkeeping, and the monitoring metrics."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from centerseg import (
     track_metrics,
     update_tracks,
 )
+from centerseg import DimensionMismatch, tracking
 
 DIMS = GridDims(24, 24)
 
@@ -299,3 +301,41 @@ def test_track_state_rejects_nan(field):
         TrackState(dims=DIMS, **{"fps": 7.0, "min_iou": 0.0, field: float("nan")})
     with pytest.raises(ValueError, match="min_iou"):
         pair_frames([block_inst(0, 0, 2, 2)], [block_inst(0, 0, 2, 2)], min_iou=float("nan"))
+
+
+def all_pairs_table(rows, cols, iou):
+    return np.array([[iou(a, b) for b in cols] for a in rows]).reshape(len(rows), len(cols))
+
+
+BLOCK = st.tuples(st.integers(0, 16), st.integers(0, 16), st.integers(1, 8), st.integers(1, 8))
+
+
+@settings(max_examples=80, deadline=None)
+@given(prev=st.lists(BLOCK, max_size=5), cur=st.lists(BLOCK, max_size=5), min_iou=st.sampled_from([0.0, 0.2, 0.5]))
+def test_pairing_matches_all_pairs_table(prev, cur, min_iou):
+    prev = [block_inst(*b) for b in prev]
+    cur = [block_inst(*b) for b in cur]
+    with mock.patch.object(tracking, "_iou_matrix", all_pairs_table):
+        expected = pair_frames(prev, cur, min_iou)
+    with mock.patch.object(tracking, "mask_iou", side_effect=tracking.mask_iou) as iou:
+        assert pair_frames(prev, cur, min_iou) == expected
+    (r0, r1, c0, c1), (s0, s1, d0, d1) = (
+        np.array([inst.mask.bbox for inst in insts]).reshape(-1, 4).T[:, :, None] for insts in (prev, cur)
+    )
+    overlap = (np.maximum(r0, s0.T) < np.minimum(r1, s1.T)) & (np.maximum(c0, d0.T) < np.minimum(c1, d1.T))
+    assert iou.call_count == np.count_nonzero(overlap)
+
+
+def test_touching_boxes_are_not_measured():
+    prev = [block_inst(0, 0, 4, 4)]
+    cur = [block_inst(0, 4, 4, 4), block_inst(4, 0, 4, 4)]  # below (r1 == r0') and right of it
+    with mock.patch.object(tracking, "mask_iou", side_effect=tracking.mask_iou) as iou:
+        assert pair_frames(prev, cur, min_iou=0.0) == ([], [0, 1], [0])
+    assert iou.call_count == 0
+
+
+def test_pairing_dims_mismatch_with_disjoint_boxes():
+    prev = [block_inst(0, 0, 3, 3)]
+    cur = [block_inst(10, 10, 3, 3, dims=GridDims(30, 24))]
+    with pytest.raises(DimensionMismatch):
+        pair_frames(prev, cur, min_iou=0.0)
