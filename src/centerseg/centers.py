@@ -9,6 +9,7 @@ clustering and can be reclaimed later by the residual reassignment step.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,16 @@ class CenterCloud:
     def __len__(self) -> int:
         return int(self.source_pixels.size)
 
+    @cached_property
+    def _source_xy(self) -> tuple[np.ndarray, np.ndarray]:
+        """Column and row of each vote's source pixel, as floats; computed
+        on first use, or filled in by :func:`generate_centers`."""
+        w = self.dims.width
+        return (
+            _frozen((self.source_pixels % w).astype(np.float64)),
+            _frozen((self.source_pixels // w).astype(np.float64)),
+        )
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, CenterCloud):
             return NotImplemented
@@ -76,12 +87,44 @@ def generate_centers(semantic: SemanticMap, offsets: OffsetMap) -> CenterCloud:
     ys = (src // w).astype(np.float64)
     vec = offsets.vectors.reshape(-1, 2).take(src, axis=0).astype(np.float64)
     pos = np.stack([xs + vec[:, 0], ys + vec[:, 1]], axis=1)
-    return CenterCloud(
+    cloud = CenterCloud(
         dims=semantic.dims,
         source_pixels=src,
         positions=pos,
         filtered=np.zeros(src.size, dtype=bool),
     )
+    cloud.__dict__["_source_xy"] = (_frozen(xs), _frozen(ys))  # for the offset-magnitude filter
+    return cloud
+
+
+# Relative half-width of the band around t*t in which the squared offset
+# leaves ``hypot(dx, dy) <= t`` to np.hypot.
+_BAND = 2.0**-30
+
+
+def _offset_within(dx: np.ndarray, dy: np.ndarray, t: float) -> np.ndarray:
+    """``np.hypot(dx, dy) <= t``, decided from ``dx*dx + dy*dy`` against
+    ``t*t`` outside a narrow band.
+
+    With ``t*t`` a normal float, ``dx*dx + dy*dy`` and ``t*t`` are each
+    within a relative 2**-52 of their real values, up to 2**-1074 per
+    square below the normal range, which is far inside the band; np.hypot
+    is within a few ulps of the real length. So a squared offset under
+    ``t*t * (1 - 2**-30)`` has a hypot under t, and one over
+    ``t*t * (1 + 2**-30)`` and finite has a hypot over t. The offsets in
+    between or with a squared offset that is not finite (an overflow, an
+    inf or a NaN) go to np.hypot, and all of them do when t is not
+    positive or ``t*t`` is not a normal float.
+    """
+    tt = t * t
+    if not (t > 0 and np.finfo(np.float64).tiny <= tt <= np.finfo(np.float64).max):
+        return np.hypot(dx, dy) <= t
+    with np.errstate(over="ignore", under="ignore"):
+        s = dx * dx + dy * dy
+    keep = s < tt * (1.0 - _BAND)
+    unsure = ~(keep | ((s > tt * (1.0 + _BAND)) & (s <= np.finfo(np.float64).max)))
+    keep[unsure] = np.hypot(dx[unsure], dy[unsure]) <= t
+    return keep
 
 
 def filter_centers(cloud: CenterCloud, radius_t: float, min_neighbors: int, strategy: str) -> CenterCloud:
@@ -102,11 +145,8 @@ def filter_centers(cloud: CenterCloud, radius_t: float, min_neighbors: int, stra
         # the vote itself is one of the points within radius_t
         keep = neighbors_at_least(cloud.positions, radius_t, min_neighbors + 1)
     elif strategy == FILTER_OFFSET_MAGNITUDE:
-        w = cloud.dims.width
-        px = (cloud.source_pixels % w).astype(np.float64)
-        py = (cloud.source_pixels // w).astype(np.float64)
-        dist = np.hypot(cloud.positions[:, 0] - px, cloud.positions[:, 1] - py)
-        keep = dist <= radius_t
+        px, py = cloud._source_xy
+        keep = _offset_within(cloud.positions[:, 0] - px, cloud.positions[:, 1] - py, float(radius_t))
     else:
         raise ValueError(f"unknown filter strategy: {strategy!r}")
     return replace(cloud, filtered=~keep)

@@ -27,6 +27,28 @@ cells then take the lowest cluster among their core neighbors. Float
 rounding is monotone, so every bounding-box shortcut agrees with the
 per-pair float test, whatever the boxes; where a bound cannot decide,
 the pairs are tested.
+
+Before the grid is built, a screen leaves out votes that are noise for
+certain. The finite votes are counted in one dense histogram of square
+coarse cells of side ``eps * _COARSE``, 2**-16 above ``2*eps``. A vote
+whose 3x3 block of coarse cells holds fewer than ``min_pts`` votes has
+fewer than ``min_pts`` votes within ``2*eps``, so neither it nor any
+vote within ``eps`` of it is core: it is noise, and leaving it out
+changes no other vote's decision. The votes kept go through the grid in
+ascending order, so clusters keep their lowest-core numbering.
+
+The screen's float margin: with ``eps*eps`` a normal float, a pair test
+within ``eps`` means a real distance of at most ``eps * (1 + 2**-51)``,
+rounding and underflow included, so two votes joined by two pair tests
+are at most ``2*eps * (1 + 2**-51)`` apart along each axis. The side is
+rounded once, and a coarse coordinate ``(v - min) / side`` twice, so
+the coordinate is off by at most 2**-52 times the cells along its axis:
+2**-22 at most, as the screen runs only on grids of at most 2**30
+cells. The two votes' coordinates then differ by at most
+``(1 + 2**-50) / (1 + 2**-16) + 2**-21 < 1``, so their coarse cells are
+equal or adjacent. On a grid of more than ``_TABLE_CELLS`` cells a vote
+(float32-range votes, say), or with ``eps*eps`` not a normal float,
+nothing is left out.
 """
 
 from __future__ import annotations
@@ -58,6 +80,16 @@ class ClusterLabels:
             raise ValueError("empty label list cannot have groups")
         lab.flags.writeable = False
         object.__setattr__(self, "labels", lab)
+
+    @classmethod
+    def _trusted(cls, labels: np.ndarray, n_groups: int) -> "ClusterLabels":
+        """Labels valid by construction: an int64 array in ``[0, n_groups]``
+        with every group non-empty, which it keeps (no check or copy)."""
+        out = cls.__new__(cls)
+        labels.flags.writeable = False
+        object.__setattr__(out, "labels", labels)
+        object.__setattr__(out, "n_groups", n_groups)
+        return out
 
     def __len__(self) -> int:
         return int(self.labels.size)
@@ -110,6 +142,10 @@ _TABLE_CELLS = 32
 _PAIR_BLOCK = 1 << 16
 # points whose neighbor-cell rows are bounded in one go
 _QUERY_BLOCK = 1 << 13
+# the coarse cells of the DBSCAN screen have side eps * _COARSE, 2**-16
+# above 2 * eps, and there are at most _COARSE_LIMIT of them
+_COARSE = 2.0 + 2.0**-15
+_COARSE_LIMIT = float(2**30)
 
 
 def _axis_cells(v: np.ndarray, side: float, gap: float) -> np.ndarray:
@@ -251,7 +287,7 @@ class GridIndex:
         self.radius = float(radius)
         self.r2 = self.radius * self.radius
         self.size = pts.shape[0]
-        finite = np.flatnonzero(np.isfinite(pts).all(axis=1))
+        finite = np.flatnonzero(np.isfinite(pts[:, 0]) & np.isfinite(pts[:, 1]))
         side = self.radius / math.sqrt(2.0) * _SHRINK
         with np.errstate(over="ignore"):
             fx = _axis_cells(pts[finite, 0], side, 2.0 * self.radius)
@@ -481,6 +517,44 @@ def _border(index: GridIndex, core: np.ndarray, cores: _CoreCells, root: np.ndar
     return todo[found], best[found]
 
 
+def _crowded(pts: np.ndarray, eps: float, min_pts: int) -> np.ndarray | None:
+    """Ascending indices of the votes whose 3x3 block of coarse cells holds
+    at least ``min_pts`` finite votes, or None to keep every vote.
+
+    The coarse cells have side ``eps * _COARSE`` and start at the lowest
+    finite coordinate on each axis; see the module docstring for why a
+    vote left out is noise. Every vote is kept when ``min_pts`` is 1,
+    when ``eps*eps`` is not a normal float, or when the grid would have
+    more than ``_TABLE_CELLS`` cells per finite vote (1024 votes at
+    least) or more than ``_COARSE_LIMIT`` cells.
+    """
+    eps2 = float(eps) * float(eps)
+    if min_pts <= 1 or not np.finfo(np.float64).tiny <= eps2 <= np.finfo(np.float64).max:
+        return None
+    finite = np.isfinite(pts[:, 0]) & np.isfinite(pts[:, 1])
+    every = bool(finite.all())
+    x, y = (pts[:, 0], pts[:, 1]) if every else (pts[finite, 0], pts[finite, 1])
+    if x.size == 0:
+        return np.zeros(0, dtype=np.intp)
+    side = eps * _COARSE
+    lo_x, lo_y = x.min(), y.min()
+    with np.errstate(over="ignore"):
+        wide, tall = (x.max() - lo_x) / side, (y.max() - lo_y) / side
+        if not (wide + 1) * (tall + 1) <= min(_TABLE_CELLS * max(x.size, 1024), _COARSE_LIMIT):
+            return None
+    nx, ny = int(wide) + 1, int(tall) + 1
+    # truncation is floor here: every coordinate is >= 0 and at most wide or tall
+    key = ((x - lo_x) / side).astype(np.intp) * ny + ((y - lo_y) / side).astype(np.intp)
+    counts = np.zeros((nx + 2, ny + 2), dtype=np.int64)
+    counts[1:-1, 1:-1] = np.bincount(key, minlength=nx * ny).reshape(nx, ny)
+    rows = counts[:-2] + counts[1:-1] + counts[2:]
+    block = rows[:, :-2] + rows[:, 1:-1] + rows[:, 2:]
+    keep = block.ravel()[key] >= min_pts
+    if not every:
+        return np.flatnonzero(finite)[keep]
+    return None if keep.all() else np.flatnonzero(keep)
+
+
 def dbscan(points, eps: float, min_pts: int) -> ClusterLabels:
     """Density clustering by the count-then-connect grid method.
 
@@ -490,24 +564,32 @@ def dbscan(points, eps: float, min_pts: int) -> ClusterLabels:
     lowest-numbered cluster with a core within ``eps`` of it; every other
     point keeps label 0. The output is bit-identical to
     :func:`dbscan_naive`, and memory grows with the number of points, not
-    with the sizes of their neighborhoods.
+    with the sizes of their neighborhoods. Only the votes the coarse
+    screen keeps (:func:`_crowded`) are indexed; the rest are noise.
     """
     if eps <= 0:
         raise ValueError("eps must be > 0")
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
-    index = GridIndex(points, eps)
+    pts = _as_points(points)
+    kept = _crowded(pts, eps, min_pts)
+    index = GridIndex(pts if kept is None else pts[kept], eps)
     labels = np.zeros(len(index), dtype=np.int64)
     core = index.counts_within(min_pts) >= min_pts
-    if not core.any():
-        return ClusterLabels(labels, 0)
-    cores = _CoreCells(index, core)
-    root = _connect(index, cores)
-    groups = np.unique(root)
-    labels[cores.ids] = np.searchsorted(groups, root) + 1
-    border, best = _border(index, core, cores, root)
-    labels[index.order[border]] = np.searchsorted(groups, best) + 1
-    return ClusterLabels(labels, groups.size)
+    n_groups = 0
+    if core.any():
+        cores = _CoreCells(index, core)
+        root = _connect(index, cores)
+        groups = np.unique(root)
+        labels[cores.ids] = np.searchsorted(groups, root) + 1
+        border, best = _border(index, core, cores, root)
+        labels[index.order[border]] = np.searchsorted(groups, best) + 1
+        n_groups = groups.size
+    if kept is not None:
+        full = np.zeros(len(pts), dtype=np.int64)
+        full[kept] = labels
+        labels = full
+    return ClusterLabels(labels, n_groups)
 
 
 def dbscan_naive(points, eps: float, min_pts: int) -> ClusterLabels:

@@ -256,7 +256,7 @@ def reassign_unlabeled(cloud: CenterCloud, labels: ClusterLabels) -> ClusterLabe
     for start in range(0, todo.size, _REASSIGN_BLOCK):
         idx = todo[start : start + _REASSIGN_BLOCK]
         new[idx] = _nearest(xs[idx], ys[idx], centroids)
-    return ClusterLabels(new, labels.n_groups)
+    return ClusterLabels._trusted(new, labels.n_groups)
 
 
 def sow_instance(semantic: SemanticMap) -> Instance | None:
@@ -320,7 +320,7 @@ def segment_frame(
     sub = _cluster(cloud.positions.take(retained, axis=0), config)
     full = np.zeros(len(cloud), dtype=np.int64)
     full[retained] = sub.labels
-    labels = ClusterLabels(full, sub.n_groups)
+    labels = ClusterLabels._trusted(full, sub.n_groups)
     lap("cluster")
 
     traced = reassign_unlabeled(cloud, labels) if config.rc2m else labels

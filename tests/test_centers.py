@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centerseg import (
+    CenterCloud,
     DimensionMismatch,
     GridDims,
     OffsetMap,
     SemanticMap,
+    centers,
     filter_centers,
     generate_centers,
 )
@@ -153,3 +157,78 @@ def test_filter_offset_magnitude_strategy():
     assert list(got.filtered) == [False, True]
     with pytest.raises(ValueError):
         filter_centers(cloud, radius_t=5.0, min_neighbors=0, strategy="nonsense")
+
+
+def test_source_pixel_coordinates_once_per_frame():
+    dims = GridDims(7, 5)
+    pix = [(0, 0), (6, 0), (3, 2), (6, 4)]
+    sem, off = make_maps(dims, pix, {**dict.fromkeys(pix, (0.0, 0.0)), (3, 2): (1.5, -2.0)})
+    cloud = generate_centers(sem, off)
+    assert "_source_xy" in cloud.__dict__  # filled in, not computed again by the filter
+    fresh = CenterCloud(cloud.dims, cloud.source_pixels, cloud.positions, cloud.filtered)
+    for got, want in zip(cloud._source_xy, fresh._source_xy):
+        assert np.array_equal(got, want) and got.dtype == np.float64 and not got.flags.writeable
+    assert list(fresh._source_xy[0]) == [0.0, 6.0, 3.0, 6.0]
+    assert list(fresh._source_xy[1]) == [0.0, 0.0, 2.0, 4.0]
+    for t in (1.0, 2.5):
+        got = filter_centers(cloud, radius_t=t, min_neighbors=0, strategy="offset-magnitude")
+        assert got == filter_centers(fresh, radius_t=t, min_neighbors=0, strategy="offset-magnitude")
+        assert list(got.filtered) == [False, False, t < 2.5, False]
+
+
+TRIPLES = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (12, 16, 20), (7, 24, 25)]
+
+
+@st.composite
+def offsets_and_radius(draw):
+    """``(dx, dy, t)``: t positive, tiny, huge, non-finite or any float, and
+    offsets of any float, on scaled Pythagorean triples and axis offsets
+    within a few ulps of t, and at +-3e38."""
+    t = draw(
+        st.one_of(
+            st.sampled_from([20.0, 10.0, 2.5, 5e-324, 1e-160, 1.5e-154, 1e150, 1.3e154, 1e160, 3e38, 1.7e308]),
+            st.sampled_from([np.inf, np.nan, 0.0, -20.0]),
+            st.floats(min_value=1e-300, max_value=1e300),
+            st.floats(),
+        )
+    )
+
+    def near(v):  # v moved by up to 3 ulps
+        steps = draw(st.integers(-3, 3))
+        for _ in range(abs(steps)):
+            v = np.nextafter(v, np.inf if steps > 0 else -np.inf)
+        return float(v)
+
+    def offset():
+        kind = draw(st.sampled_from(["any", "triple", "axis", "far"]))
+        if kind == "any":
+            return draw(st.floats()), draw(st.floats())
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        if kind == "triple" and np.isfinite(t):
+            a, b, c = draw(st.sampled_from(TRIPLES))
+            with np.errstate(over="ignore", under="ignore"):
+                return near(sign * a * (t / c)), near(b * (t / c))
+        if kind == "far":
+            return draw(st.sampled_from([3e38, -3e38])), draw(st.sampled_from([3e38, -3e38, 0.0, 1.0]))
+        return (near(sign * t), 0.0) if draw(st.booleans()) else (0.0, near(sign * t))
+
+    pairs = [offset() for _ in range(draw(st.integers(1, 40)))]
+    dx, dy = np.array(pairs, dtype=np.float64).reshape(-1, 2).T
+    return dx.copy(), dy.copy(), t
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=offsets_and_radius())
+def test_offset_magnitude_decisions_match_hypot(case):
+    dx, dy, t = case
+    with np.errstate(over="ignore"):  # np.hypot of two offsets near the float64 limit
+        assert np.array_equal(centers._offset_within(dx, dy, t), np.hypot(dx, dy) <= t)
+    if t > 0:
+        # through the filter: one vote per pixel of a one-row frame
+        n = dx.size
+        px = np.arange(n, dtype=np.float64)
+        cloud = CenterCloud(GridDims(n, 1), np.arange(n), np.stack([px + dx, dy], 1), np.zeros(n, dtype=bool))
+        with np.errstate(over="ignore", invalid="ignore"):
+            old = np.hypot(cloud.positions[:, 0] - px, cloud.positions[:, 1]) <= t
+            flagged = filter_centers(cloud, radius_t=t, min_neighbors=0, strategy="offset-magnitude").filtered
+        assert np.array_equal(flagged, ~old)

@@ -511,3 +511,95 @@ def test_sub_cells_cut_pair_tests_on_a_full_scale_cloud():
     whole_cells, whole_out = pairs_tested(whole, min_pts)
     assert np.array_equal(out >= min_pts, whole_out >= min_pts)
     assert 0 < 5 * sub_cells <= whole_cells, (sub_cells, whole_cells)
+
+
+# --- the coarse screen before the grid --------------------------------------
+
+
+@st.composite
+def screened_clouds(draw):
+    """``(pts, eps)``: packs of votes, halo votes at a distance in
+    ``[eps, 2*eps]`` from a pack vote (a third at exactly ``2*eps``),
+    scattered votes, and votes on the screen's coarse-cell edges and one
+    ulp either side. Snapped clouds lie on a lattice of step ``eps / 2``,
+    with ties at exactly ``eps`` and ``2*eps``. Sometimes float32-range
+    votes (the screen leaves nothing out) or non-finite votes."""
+    eps = draw(st.sampled_from([1.0, 2.5, 4.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    packs, per_pack = draw(st.integers(1, 4)), draw(st.integers(1, 60))
+    halo, noise = draw(st.integers(0, 60)), draw(st.integers(0, 60))
+    extent = draw(st.sampled_from([6.0, 20.0, 60.0])) * eps
+    centers = rng.uniform(0, extent, (packs, 2))
+    spread = draw(st.sampled_from([0.1, 0.3, 0.8])) * eps
+    pack = np.repeat(centers, per_pack, axis=0) + rng.normal(0, spread, (packs * per_pack, 2))
+    dist = eps * rng.uniform(1.0, 2.0, halo)
+    dist[rng.random(halo) < 0.3] = 2 * eps
+    angle = rng.choice([0.0, np.pi / 2, np.pi, rng.uniform(0, 2 * np.pi)], halo)
+    ring = pack[rng.integers(0, len(pack), halo)] + dist[:, None] * np.stack([np.cos(angle), np.sin(angle)], 1)
+    pts = np.vstack([pack, ring, rng.uniform(0, extent, (noise, 2))])
+    if draw(st.booleans()):
+        pts = np.round(pts / (eps / 2)) * (eps / 2)
+    side = eps * clustering._COARSE
+    lo = pts.min(axis=0)
+    edges = lo + rng.integers(0, int(extent / side) + 1, (draw(st.integers(0, 30)), 2)) * side
+    for step in (-np.inf, np.inf):  # one ulp either side, never below the lowest coordinate
+        edges = np.vstack([edges, np.maximum(np.nextafter(edges[: len(edges) // 3], step), lo)])
+    pts = np.vstack([pts, edges])
+    extra = draw(st.sampled_from(["", "float32", "non-finite"]))
+    if extra == "float32":
+        pts = np.vstack([pts, [[3e38, 3e38]] * 6 + [[-3e38, 1.0]] * 2 + [[2.0, -3e38]]])
+    elif extra == "non-finite":
+        pts = np.vstack([pts, [[np.nan, 0.0], [np.inf, 1.0], [0.0, -np.inf]] * 3])
+    return rng.permutation(pts), eps
+
+
+@settings(max_examples=150, deadline=None)
+@given(cloud=screened_clouds(), min_pts=st.one_of(st.sampled_from([1, 2]), st.integers(1, 60)))
+def test_screen_leaves_out_only_noise(cloud, min_pts):
+    pts, eps = cloud
+    kept = clustering._crowded(pts, eps, min_pts)
+    with np.errstate(invalid="ignore"):
+        labels, groups = contract_labels(pts, eps, min_pts)
+        reach = exact_counts(pts, 2 * eps)
+        naive = dbscan_naive(pts, eps, min_pts)
+    if min_pts == 1 or np.abs(pts).max() > 1e38:
+        assert kept is None
+    if kept is not None:
+        assert np.all(np.diff(kept) > 0)
+        out = np.ones(len(pts), dtype=bool)
+        out[kept] = False
+        # fewer than min_pts votes within 2*eps: neither the vote nor any neighbor is core
+        assert np.all(reach[out] < min_pts)
+    got = dbscan(pts, eps, min_pts)
+    assert got.n_groups == groups and np.array_equal(got.labels, labels)
+    assert got == naive
+
+
+def test_screen_leaves_out_isolated_votes_on_a_full_scale_cloud():
+    # the cloud of test_sub_cells_cut_pair_tests_on_a_full_scale_cloud
+    rng = np.random.default_rng(14)
+    centers = np.stack([rng.uniform(80, 1200, 14), rng.uniform(80, 640, 14)], axis=1)
+    packs = np.repeat(centers, 1250, axis=0) + rng.normal(0, 1.5, (14 * 1250, 2))
+    pts = rng.permutation(np.vstack([packs, rng.integers(0, (1280, 720), (15_000, 2))]))
+    eps, min_pts = 2.5, 50
+    kept = clustering._crowded(pts, eps, min_pts)
+    out = np.ones(len(pts), dtype=bool)
+    out[kept] = False
+    assert out.sum() >= 0.4 * len(pts), out.sum()
+    with mock.patch.object(clustering, "_crowded", lambda *args: None):
+        unscreened = dbscan(pts, eps, min_pts)
+    # no vote left out is core or border
+    assert not (neighbors_at_least(pts, eps, min_pts) & out).any()
+    assert not unscreened.labels[out].any()
+    assert dbscan(pts, eps, min_pts) == unscreened
+
+
+def test_screen_keeps_every_vote_where_its_bound_does_not_hold():
+    pts = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0]])
+    assert clustering._crowded(pts, 2.5, 1) is None  # every vote is core
+    for eps in (1e-160, 1e160):  # eps*eps is not a normal float
+        assert clustering._crowded(pts, eps, 2) is None
+    assert clustering._crowded(np.vstack([pts, [[3e38, 0.0]]]), 2.5, 2) is None  # too many cells
+    assert list(clustering._crowded(pts, 2.5, 2)) == []
+    assert list(clustering._crowded(np.zeros((0, 2)), 2.5, 2)) == []
+    assert list(clustering._crowded(np.array([[np.nan, 0.0], [0.0, 0.0], [0.0, 0.0]]), 2.5, 2)) == [1, 2]
