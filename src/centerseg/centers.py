@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .clustering import neighbors_at_least
+from .clustering import _radius, neighbors_at_least
 from .grids import PIGLET, DimensionMismatch, GridDims, OffsetMap, SemanticMap, _frozen
 
 FILTER_DENSITY = "density"
@@ -104,21 +104,19 @@ _BAND = 2.0**-30
 
 def _offset_within(dx: np.ndarray, dy: np.ndarray, t: float) -> np.ndarray:
     """``np.hypot(dx, dy) <= t``, decided from ``dx*dx + dy*dy`` against
-    ``t*t`` outside a narrow band.
+    ``t*t`` outside a narrow band, for a radius ``t`` under the contract of
+    :mod:`.clustering`.
 
-    With ``t*t`` a normal float, ``dx*dx + dy*dy`` and ``t*t`` are each
+    As ``t*t`` is a normal float, ``dx*dx + dy*dy`` and ``t*t`` are each
     within a relative 2**-52 of their real values, up to 2**-1074 per
     square below the normal range, which is far inside the band; np.hypot
     is within a few ulps of the real length. So a squared offset under
     ``t*t * (1 - 2**-30)`` has a hypot under t, and one over
     ``t*t * (1 + 2**-30)`` and finite has a hypot over t. The offsets in
     between or with a squared offset that is not finite (an overflow, an
-    inf or a NaN) go to np.hypot, and all of them do when t is not
-    positive or ``t*t`` is not a normal float.
+    inf or a NaN) go to np.hypot.
     """
     tt = t * t
-    if not (t > 0 and np.finfo(np.float64).tiny <= tt <= np.finfo(np.float64).max):
-        return np.hypot(dx, dy) <= t
     with np.errstate(over="ignore", under="ignore"):
         s = dx * dx + dy * dy
     keep = s < tt * (1.0 - _BAND)
@@ -137,8 +135,7 @@ def filter_centers(cloud: CenterCloud, radius_t: float, min_neighbors: int, stra
 
     The vote count never changes; previously set flags are recomputed.
     """
-    if radius_t <= 0:
-        raise ValueError("radius_t must be > 0")
+    radius_t = _radius(radius_t, "radius_t")
     if min_neighbors < 0:
         raise ValueError("min_neighbors must be >= 0")
     if strategy == FILTER_DENSITY:
@@ -146,7 +143,7 @@ def filter_centers(cloud: CenterCloud, radius_t: float, min_neighbors: int, stra
         keep = neighbors_at_least(cloud.positions, radius_t, min_neighbors + 1)
     elif strategy == FILTER_OFFSET_MAGNITUDE:
         px, py = cloud._source_xy
-        keep = _offset_within(cloud.positions[:, 0] - px, cloud.positions[:, 1] - py, float(radius_t))
+        keep = _offset_within(cloud.positions[:, 0] - px, cloud.positions[:, 1] - py, radius_t)
     else:
         raise ValueError(f"unknown filter strategy: {strategy!r}")
     return replace(cloud, filtered=~keep)

@@ -2,6 +2,10 @@
 
 DBSCAN contract, shared by :func:`dbscan` and the independent
 :func:`dbscan_naive` oracle, which must agree bit for bit:
+  - a radius (``eps`` here; also the grid index's, mean-shift's
+    ``bandwidth`` and the vote filter's ``t``) is a float ``r > 0`` with
+    ``r*r`` a normal float, about 1.49e-154 to 1.34e154; :func:`_radius`
+    checks every one and raises ValueError for any other value;
   - neighborhoods are closed balls: q is a neighbor of p iff
     ``dx*dx + dy*dy <= eps*eps`` in float64, p itself included;
   - p is a core point iff it has at least ``min_pts`` neighbors, and
@@ -37,7 +41,7 @@ vote within ``eps`` of it is core: it is noise, and leaving it out
 changes no other vote's decision. The votes kept go through the grid in
 ascending order, so clusters keep their lowest-core numbering.
 
-The screen's float margin: with ``eps*eps`` a normal float, a pair test
+The screen's float margin: as ``eps*eps`` is a normal float, a pair test
 within ``eps`` means a real distance of at most ``eps * (1 + 2**-51)``,
 rounding and underflow included, so two votes joined by two pair tests
 are at most ``2*eps * (1 + 2**-51)`` apart along each axis. The side is
@@ -47,13 +51,13 @@ the coordinate is off by at most 2**-52 times the cells along its axis:
 cells. The two votes' coordinates then differ by at most
 ``(1 + 2**-50) / (1 + 2**-16) + 2**-21 < 1``, so their coarse cells are
 equal or adjacent. On a grid of more than ``_TABLE_CELLS`` cells a vote
-(float32-range votes, say), or with ``eps*eps`` not a normal float,
-nothing is left out.
+(float32-range votes, say), nothing is left out.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -114,6 +118,15 @@ class ClusterLabels:
         if not isinstance(other, ClusterLabels):
             return NotImplemented
         return self.n_groups == other.n_groups and np.array_equal(self.labels, other.labels)
+
+
+def _radius(value, name: str) -> float:
+    """``value`` as a float if it is a radius under the module's contract:
+    ``value > 0`` with ``value*value`` a normal float. Else ValueError."""
+    r = float(value)
+    if not (r > 0 and sys.float_info.min <= r * r <= sys.float_info.max):
+        raise ValueError(f"{name} must be > 0, with {name}*{name} a normal float (about 1.49e-154 to 1.34e154)")
+    return r
 
 
 def _as_points(points) -> np.ndarray:
@@ -281,10 +294,8 @@ class GridIndex:
     """
 
     def __init__(self, points, radius: float):
-        if not radius > 0:
-            raise ValueError("radius must be > 0")
+        self.radius = _radius(radius, "radius")
         pts = _as_points(points)
-        self.radius = float(radius)
         self.r2 = self.radius * self.radius
         self.size = pts.shape[0]
         finite = np.flatnonzero(np.isfinite(pts[:, 0]) & np.isfinite(pts[:, 1]))
@@ -469,8 +480,9 @@ def _connect(index: GridIndex, cores: _CoreCells) -> np.ndarray:
     d = (x - (cores.box[0] + cores.box[1])[own] / 2) ** 2 + (y - (cores.box[2] + cores.box[3])[own] / 2) ** 2
     central = np.where(np.minimum.reduceat(d, first)[own] == d, np.arange(d.size), d.size)
     probe = np.minimum.reduceat(central, first)
-    dx, dy = x[probe[b]] - x[probe[a]], y[probe[b]] - y[probe[a]]
-    hit = both & (dx * dx + dy * dy <= r2)
+    with np.errstate(over="ignore"):
+        dx, dy = x[probe[b]] - x[probe[a]], y[probe[b]] - y[probe[a]]
+        hit = both & (dx * dx + dy * dy <= r2)
     _union(parent, rep[a[hit]], rep[b[hit]])
     a, b, both = a[~hit], b[~hit], both[~hit]
 
@@ -523,13 +535,11 @@ def _crowded(pts: np.ndarray, eps: float, min_pts: int) -> np.ndarray | None:
 
     The coarse cells have side ``eps * _COARSE`` and start at the lowest
     finite coordinate on each axis; see the module docstring for why a
-    vote left out is noise. Every vote is kept when ``min_pts`` is 1,
-    when ``eps*eps`` is not a normal float, or when the grid would have
-    more than ``_TABLE_CELLS`` cells per finite vote (1024 votes at
-    least) or more than ``_COARSE_LIMIT`` cells.
+    vote left out is noise. Every vote is kept when ``min_pts`` is 1, or
+    when the grid would have more than ``_TABLE_CELLS`` cells per finite
+    vote (1024 votes at least) or more than ``_COARSE_LIMIT`` cells.
     """
-    eps2 = float(eps) * float(eps)
-    if min_pts <= 1 or not np.finfo(np.float64).tiny <= eps2 <= np.finfo(np.float64).max:
+    if min_pts <= 1:
         return None
     finite = np.isfinite(pts[:, 0]) & np.isfinite(pts[:, 1])
     every = bool(finite.all())
@@ -567,8 +577,7 @@ def dbscan(points, eps: float, min_pts: int) -> ClusterLabels:
     with the sizes of their neighborhoods. Only the votes the coarse
     screen keeps (:func:`_crowded`) are indexed; the rest are noise.
     """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
+    eps = _radius(eps, "eps")
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
     pts = _as_points(points)
@@ -599,8 +608,7 @@ def dbscan_naive(points, eps: float, min_pts: int) -> ClusterLabels:
     fully independent implementation so the two can cross-check each
     other bit for bit.
     """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
+    eps = _radius(eps, "eps")
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
     pts = _as_points(points)
@@ -689,8 +697,7 @@ def mean_shift(points, bandwidth: float) -> ClusterLabels:
     deliberate exhaustive scan; this is the slow quadratic baseline the
     grid-indexed DBSCAN is measured against.
     """
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be > 0")
+    bandwidth = _radius(bandwidth, "bandwidth")
     pts = _as_points(points)
     n = pts.shape[0]
     if n == 0:

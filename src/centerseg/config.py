@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .clustering import _radius
+
 ALGORITHMS = ("dbscan", "mean-shift")
 FILTER_STRATEGIES = ("density", "offset-magnitude")
 
@@ -34,21 +36,19 @@ class PipelineConfig:
 
     def validate(self) -> None:
         """Raise ValueError for the first value out of range. Each bound is
-        written so that NaN fails it too."""
-        if not self.t > 0:
-            raise ValueError("t must be > 0")
+        written so that NaN fails it too; the radii ``t``, ``eps`` and
+        ``bandwidth`` follow the radius contract of :mod:`.clustering`."""
+        _radius(self.t, "t")
         if not self.min_neighbors >= 0:
             raise ValueError("min_neighbors must be >= 0")
         if self.filter_strategy not in FILTER_STRATEGIES:
             raise ValueError(f"filter_strategy must be one of {FILTER_STRATEGIES}")
-        if not self.eps > 0:
-            raise ValueError("eps must be > 0")
+        _radius(self.eps, "eps")
         if not self.min_pts >= 1:
             raise ValueError("min_pts must be >= 1")
         if self.algo not in ALGORITHMS:
             raise ValueError(f"algo must be one of {ALGORITHMS}")
-        if not self.bandwidth > 0:
-            raise ValueError("bandwidth must be > 0")
+        _radius(self.bandwidth, "bandwidth")
         if not self.min_iou >= 0:
             raise ValueError("min_iou must be >= 0")
         if not self.fps > 0:

@@ -105,21 +105,6 @@ class BinaryMask:
     def full(cls, dims: GridDims) -> "BinaryMask":
         return cls._from_crop(dims, (0, dims.height, 0, dims.width), np.ones(dims.shape, dtype=bool))
 
-    @classmethod
-    def from_flat_indices(cls, dims: GridDims, indices) -> "BinaryMask":
-        """The pixels at row-major flat ``indices``; only the box is allocated."""
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size == 0:
-            return cls.empty(dims)
-        if idx.min() < 0 or idx.max() >= dims.npixels:
-            raise ValueError("flat index out of bounds")
-        rows, cols = np.divmod(idx, dims.width)
-        r0, r1 = int(rows.min()), int(rows.max()) + 1
-        c0, c1 = int(cols.min()), int(cols.max()) + 1
-        crop = np.zeros((r1 - r0, c1 - c0), dtype=bool)
-        crop[rows - r0, cols - c0] = True
-        return cls._from_crop(dims, (r0, r1, c0, c1), crop)
-
     @property
     def pixels(self) -> np.ndarray:
         """The full (rows, cols) frame, read-only, built anew on each access."""

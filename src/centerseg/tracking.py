@@ -174,14 +174,14 @@ class TrackMetrics:
     space_usage: float
 
 
-def track_metrics(track: Track, state: TrackState, pen_mask=None) -> TrackMetrics:
+def track_metrics(track: Track, state: TrackState) -> TrackMetrics:
     """Movement, average speed, body size, and space usage of a track.
 
     Average speed divides accumulated movement by the track-local
     elapsed time (record count - 1 over fps); a single-record track has
     speed 0. Body pixel size is the mean of the up-to-five largest
-    observed mask areas. Space usage is the fraction of visited pixels,
-    against the full frame or an optional pen mask's area.
+    observed mask areas. Space usage is the fraction of the frame's
+    pixels visited.
     """
     if not track.frames:
         raise ValueError("track has no records")
@@ -189,19 +189,13 @@ def track_metrics(track: Track, state: TrackState, pen_mask=None) -> TrackMetric
     speed = 0.0 if n <= 1 else track.movement / ((n - 1) / state.fps)
     body = float(np.mean(track.top_areas))
     visited = int(np.count_nonzero(track.occupancy))
-    if pen_mask is not None:
-        denom = int(np.count_nonzero(np.asarray(pen_mask, dtype=bool)))
-        if denom == 0:
-            raise ValueError("pen mask is empty")
-    else:
-        denom = state.dims.npixels
     return TrackMetrics(
         track_id=track.track_id,
         cls=track.cls,
         movement_px=track.movement,
         avg_speed_px_s=speed,
         body_pixel_size=body,
-        space_usage=visited / denom,
+        space_usage=visited / state.dims.npixels,
     )
 
 

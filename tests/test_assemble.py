@@ -325,10 +325,13 @@ def test_reassign_on_cell_and_frame_edges(width, height):
 
 
 def flat_index_masks(cloud, traced):
-    return [
-        BinaryMask.from_flat_indices(cloud.dims, cloud.source_pixels[traced.labels == g])
-        for g in range(1, traced.n_groups + 1)
-    ]
+    """Each group's mask, cut from a full frame with its votes' source pixels set."""
+    masks = []
+    for g in range(1, traced.n_groups + 1):
+        frame = np.zeros(cloud.dims.npixels, dtype=bool)
+        frame[cloud.source_pixels[traced.labels == g]] = True
+        masks.append(BinaryMask(cloud.dims, frame.reshape(cloud.dims.shape)))
+    return masks
 
 
 @settings(max_examples=40, deadline=None)

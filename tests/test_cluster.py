@@ -16,13 +16,18 @@ from centerseg import (
     ClusterLabels,
     GridDims,
     GridIndex,
+    PipelineConfig,
     clustering,
     dbscan,
     dbscan_naive,
     filter_centers,
+    formats,
+    generate_centers,
     mean_shift,
     neighbors_at_least,
 )
+from centerseg.cli import main
+from test_golden import FULLRES_SCENE
 
 
 def random_cloud(rng, n):
@@ -597,9 +602,84 @@ def test_screen_leaves_out_isolated_votes_on_a_full_scale_cloud():
 def test_screen_keeps_every_vote_where_its_bound_does_not_hold():
     pts = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0]])
     assert clustering._crowded(pts, 2.5, 1) is None  # every vote is core
-    for eps in (1e-160, 1e160):  # eps*eps is not a normal float
-        assert clustering._crowded(pts, eps, 2) is None
     assert clustering._crowded(np.vstack([pts, [[3e38, 0.0]]]), 2.5, 2) is None  # too many cells
     assert list(clustering._crowded(pts, 2.5, 2)) == []
     assert list(clustering._crowded(np.zeros((0, 2)), 2.5, 2)) == []
     assert list(clustering._crowded(np.array([[np.nan, 0.0], [0.0, 0.0], [0.0, 0.0]]), 2.5, 2)) == [1, 2]
+
+
+# --- the radius contract ------------------------------------------------------
+
+# the smallest and largest radii whose square is a normal float
+R_MIN = float(np.sqrt(np.finfo(np.float64).tiny))
+R_MAX = float(np.sqrt(np.finfo(np.float64).max))
+BAD_RADII = [np.nan, np.inf, -np.inf, 0.0, -1.0, 1e-160, 1e160]
+BAD_RADII += [float(np.nextafter(R_MIN, 0.0)), float(np.nextafter(R_MAX, np.inf))]  # one step out
+_PTS = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]])
+_CLOUD = CenterCloud(GridDims(3, 1), np.arange(3), _PTS, np.zeros(3, dtype=bool))
+# each entry point that takes a radius, and the name its message starts with
+RADIUS_ENTRY_POINTS = {
+    "GridIndex": ("radius", lambda r: GridIndex(_PTS, r)),
+    "neighbors_at_least": ("radius", lambda r: neighbors_at_least(_PTS, r, 2)),
+    "dbscan": ("eps", lambda r: dbscan(_PTS, r, 2)),
+    "dbscan_naive": ("eps", lambda r: dbscan_naive(_PTS, r, 2)),
+    "mean_shift": ("bandwidth", lambda r: mean_shift(_PTS, r)),
+    "filter_centers-density": ("radius_t", lambda r: filter_centers(_CLOUD, r, 1, "density")),
+    "filter_centers-offset-magnitude": ("radius_t", lambda r: filter_centers(_CLOUD, r, 1, "offset-magnitude")),
+    "PipelineConfig-t": ("t", lambda r: PipelineConfig(t=r)),
+    "PipelineConfig-eps": ("eps", lambda r: PipelineConfig(eps=r)),
+    "PipelineConfig-bandwidth": ("bandwidth", lambda r: PipelineConfig(bandwidth=r)),
+}
+
+
+@pytest.mark.parametrize("radius", BAD_RADII, ids=repr)
+@pytest.mark.parametrize("entry", RADIUS_ENTRY_POINTS)
+def test_every_entry_point_rejects_a_radius_outside_the_contract(entry, radius):
+    name, call = RADIUS_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be > 0"):
+        call(radius)
+
+
+def test_radius_bounds_are_accepted():
+    for radius in (R_MIN, R_MAX):
+        for _, call in RADIUS_ENTRY_POINTS.values():
+            call(radius)
+
+
+@pytest.mark.parametrize("eps, d", [(1e160, 1e163), (1e-170, 1e-165)])
+def test_clouds_whose_eps_square_is_not_normal_raise(eps, d):
+    # at these radii the grid and the oracle's pair test once disagreed: 4 clusters against 1
+    pts = np.array([[0.0, 0.0], [d, 0.0], [0.0, d], [d, d]] * 3)
+    for fn in (dbscan, dbscan_naive):
+        with pytest.raises(ValueError, match="^eps must be > 0"):
+            fn(pts, eps, 3)
+
+
+@pytest.mark.parametrize("eps", [R_MIN, R_MAX], ids=["smallest", "largest"])
+def test_dbscan_matches_naive_at_the_radius_bounds(eps):
+    rng = np.random.default_rng(16)
+    clouds = [np.array([[0.0, 0.0], [1e3, 0.0], [0.0, 1e3], [1e3, 1e3]] * 3)]
+    clouds += [random_cloud(rng, int(rng.integers(1, 300))) for _ in range(150)]
+    for pts in clouds:
+        pts = pts * (eps / 2.5)  # eps plays 2.5 px
+        min_pts = int(rng.integers(1, 8))
+        fast = dbscan(pts, eps, min_pts)
+        with np.errstate(over="ignore"):  # the oracle's squares of far pairs overflow to inf
+            slow = dbscan_naive(pts, eps, min_pts)
+        assert fast == slow
+
+
+def test_dbscan_matches_naive_on_a_full_scale_frame(tmp_path):
+    # the retained votes of the first FULLRES_GOLDEN frame at t=20 eps=2.5
+    # min_pts=50 under the offset-magnitude filter: about 29k votes
+    scene = tmp_path / "scene.cfg"
+    scene.write_text(FULLRES_SCENE)
+    assert main(["synth", str(scene), "--out-dir", str(tmp_path), "--frames", "1"]) == 0
+    sem = formats.read_semantic(tmp_path / "frame_0000.ccsm")
+    off = formats.read_offsets(tmp_path / "frame_0000.ccof")
+    cloud = filter_centers(generate_centers(sem, off), radius_t=20.0, min_neighbors=0, strategy="offset-magnitude")
+    votes = cloud.positions[~cloud.filtered]
+    assert 25_000 < len(votes) < 35_000, len(votes)
+    labels = dbscan(votes, 2.5, 50)
+    assert labels.n_groups >= 10
+    assert labels == dbscan_naive(votes, 2.5, 50)

@@ -400,9 +400,8 @@ def test_numpy_run_lists_read_as_json_does(text, kind, data):
 
 
 def test_writer_form_path_refuses_what_it_cannot_prove():
-    text = manifest_dumps(
-        0, GridDims(3, 3), [Instance(BinaryMask.from_flat_indices(GridDims(3, 3), [4]), (1.0, 1.0), "piglet", 0.5)]
-    )
+    middle = BinaryMask(GridDims(3, 3), np.arange(9).reshape(3, 3) == 4)
+    text = manifest_dumps(0, GridDims(3, 3), [Instance(middle, (1.0, 1.0), "piglet", 0.5)])
     assert text == '{"frame":0,"height":3,"instances":[{"class":"piglet","predicted_center":[1.0,1.0],"rle":[4,1,4],"score":0.5}],"width":3}\n'
     assert formats._writer_form_doc(text.encode())["instances"][0]["rle"].tolist() == [4, 1, 4]
     for bad in ("[04,1,4]", "[4, 1,4]", "[4,1,4,]", "[,4,1,4]", "[4,,1,4]", "[4,-1,6]", "[1000000000,1]", "[]"):
@@ -414,7 +413,7 @@ def test_writer_form_path_refuses_what_it_cannot_prove():
 
 def test_manifest_writer_refuses_runs_above_32_bits():
     dims = GridDims(70_000, 70_000)  # one pixel: the last run is above 2**32
-    inst = Instance(BinaryMask.from_flat_indices(dims, [5]), (5.0, 0.0), "piglet", 0.5)
+    inst = Instance(rle_decode([5, 1, dims.npixels - 6], dims), (5.0, 0.0), "piglet", 0.5)  # no full frame
     with pytest.raises(ValueError, match="above the 32-bit range"):
         manifest_dumps(0, dims, [inst])
 

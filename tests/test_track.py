@@ -176,15 +176,12 @@ def test_speed_formula_sample():
     assert metrics.avg_speed_px_s == pytest.approx(38.75)
 
 
-def test_space_usage_and_pen_mask():
+def test_space_usage_is_a_share_of_the_frame():
     dims = GridDims(10, 10)
     state = TrackState(dims=dims, fps=7.0, min_iou=0.0)
     update_tracks(state, frame([block_inst(0, 0, 5, 5, dims=dims)]))
     (track,) = state.all_tracks()
     assert track_metrics(track, state).space_usage == 25 / 100
-    pen = np.zeros(dims.shape, dtype=bool)
-    pen[0:5, 0:10] = True
-    assert track_metrics(track, state, pen_mask=pen).space_usage == 25 / 50
 
 
 def test_heatmap_accumulates():
