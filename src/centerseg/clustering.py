@@ -26,11 +26,10 @@ undecided splits each partly covered cell into its 2x2 sub-cells of
 half the side and adds or skips those by their own boxes; it tests
 single pairs only against sub-cells still partly covered, and only if
 it is still undecided. Connect: union-find joins core cells that hold
-a core pair within ``eps``; border points in the neighbor cells of core
-cells then take the lowest cluster among their core neighbors. Float
-rounding is monotone, so every bounding-box shortcut agrees with the
-per-pair float test, whatever the boxes; where a bound cannot decide,
-the pairs are tested.
+a core pair within ``eps``; border points then take the lowest cluster
+among their core neighbors. Float rounding is monotone, so every
+bounding-box shortcut agrees with the per-pair float test, whatever the
+boxes; where a bound cannot decide, the pairs are tested.
 
 Before the grid is built, a screen leaves out votes that are noise for
 certain. The finite votes are counted in one dense histogram of square
@@ -287,10 +286,9 @@ class GridIndex:
     ``y``), in no set order within a sub-cell, and ``order`` maps sorted
     positions back to indices. Cells and sub-cells each have a start, a
     count and a bounding box; ``sub_first`` and ``sub_count`` give each
-    cell's run of sub-cells. ``neighbors`` lists a cell's 25 neighbor
-    cells and ``reach`` the number of points in them. A point with a
-    non-finite coordinate is within ``radius`` of no point, itself
-    included, and is left out.
+    cell's run of sub-cells, and ``neighbors`` lists a cell's 25 neighbor
+    cells. A point with a non-finite coordinate is within ``radius`` of
+    no point, itself included, and is left out.
     """
 
     def __init__(self, points, radius: float):
@@ -342,15 +340,6 @@ class GridIndex:
         """Row per cell of its 25 neighbor cells, itself included, -1 where empty."""
         return self._cell_at(self.cell_keys[cells][:, None] + self._steps)
 
-    @cached_property
-    def reach(self) -> np.ndarray:
-        """Points in each cell's 25 neighbor cells."""
-        counts = np.r_[self.counts, 0]  # an index of -1 picks the trailing 0
-        total = np.zeros(self.counts.size, dtype=np.int64)
-        for step in self._steps:
-            total += counts[self._cell_at(self.cell_keys + step)]
-        return total
-
     def tight(self, box: np.ndarray) -> np.ndarray:
         """Whether every pair of points inside each box is within the radius."""
         return _bounds(box, box)[1] <= self.r2
@@ -381,8 +370,7 @@ class GridIndex:
         answers exactly.
 
         A cell of at least ``at_least`` points whose box fits in the ball
-        needs no work, and so does a cell whose 25 neighbor cells hold
-        fewer. Other points add or skip whole neighbor cells by
+        needs no work. Other points add or skip whole neighbor cells by
         bounding-box bounds. Points still undecided split each partly
         covered cell into its sub-cells and add or skip those by their
         own boxes; single pairs are tested only for points undecided
@@ -391,7 +379,7 @@ class GridIndex:
         out = self.counts[self.cell_of]
         dense = self.counts >= at_least
         dense[dense] = self.tight(self.box[:, dense])
-        todo = np.flatnonzero(~(dense | (self.reach < at_least))[self.cell_of])
+        todo = np.flatnonzero(~dense[self.cell_of])
 
         def undecided(low, high):
             return (low < at_least) & (high >= at_least)
@@ -454,8 +442,7 @@ def _connect(index: GridIndex, cores: _CoreCells) -> np.ndarray:
     """Union-find root of each core point: the lowest core index of its cluster.
 
     The cores of a cell whose core box fits in the ball start as one
-    set. Neighbor cells whose boxes are farther apart than the radius
-    are skipped; pairs of such cells are joined by one probe pair each.
+    set, and a pair of such neighbor cells is joined by one probe pair.
     The pairs still split, and every pair with a cell whose box does not
     fit, are tested pair by pair, checking between blocks which pairs
     are still split.
@@ -470,18 +457,13 @@ def _connect(index: GridIndex, cores: _CoreCells) -> np.ndarray:
     b = cores.slot[index.neighbors(cores.cells)[:, _FORWARD]].ravel()
     loose = np.flatnonzero(~cores.tight)
     a, b = np.r_[a[b >= 0], loose], np.r_[b[b >= 0], loose]
-    near = _bounds(cores.box.take(a, axis=1), cores.box.take(b, axis=1))[0] <= r2
-    a, b = a[near], b[near]
     both = cores.tight[a] & cores.tight[b]
 
-    # probe each cell pair with the cores nearest the centers of their boxes;
-    # this also joins every pair whose boxes lie wholly within the ball
-    x, y, own, first = cores.x, cores.y, cores.own, cores.first
-    d = (x - (cores.box[0] + cores.box[1])[own] / 2) ** 2 + (y - (cores.box[2] + cores.box[3])[own] / 2) ** 2
-    central = np.where(np.minimum.reduceat(d, first)[own] == d, np.arange(d.size), d.size)
-    probe = np.minimum.reduceat(central, first)
+    # probe each cell pair with each cell's first core; this also joins
+    # every pair whose boxes lie wholly within the ball
+    x, y, first = cores.x, cores.y, cores.first
     with np.errstate(over="ignore"):
-        dx, dy = x[probe[b]] - x[probe[a]], y[probe[b]] - y[probe[a]]
+        dx, dy = x[first[b]] - x[first[a]], y[first[b]] - y[first[a]]
         hit = both & (dx * dx + dy * dy <= r2)
     _union(parent, rep[a[hit]], rep[b[hit]])
     a, b, both = a[~hit], b[~hit], both[~hit]
@@ -502,15 +484,9 @@ def _connect(index: GridIndex, cores: _CoreCells) -> np.ndarray:
 
 
 def _border(index: GridIndex, core: np.ndarray, cores: _CoreCells, root: np.ndarray):
-    """Non-core sorted positions with a core neighbor, and the lowest root among those.
-
-    Only points in the neighbor cells of a cell with cores can have one.
-    """
+    """Non-core sorted positions with a core neighbor, and the lowest root among those."""
     r2 = index.r2
-    cell_root = np.minimum.reduceat(root, cores.first)
-    near = np.zeros(index.counts.size + 1, dtype=bool)
-    near[index.neighbors(cores.cells)] = True  # -1 marks the trailing slot
-    todo = np.flatnonzero(~core & near[index.cell_of])
+    todo = np.flatnonzero(~core)
     best = np.full(todo.size, len(index))
     for lo in range(0, todo.size, _QUERY_BLOCK):
         q = todo[lo : lo + _QUERY_BLOCK]
@@ -518,12 +494,9 @@ def _border(index: GridIndex, core: np.ndarray, cores: _CoreCells, root: np.ndar
         s = cores.slot[cell]
         k, s = k[s >= 0], s[s >= 0]
         qx, qy = index.x[q][k], index.y[q][k]
-        lower, upper = _bounds(_point_boxes(qx, qy), cores.box.take(s, axis=1))
-        full = upper <= r2
-        np.minimum.at(best, lo + k[full], cell_root[s[full]])
-        part = (lower <= r2) & ~full
-        k, s = k[part], s[part]
-        for i, j, hit in _pair_tests(qx[part], qy[part], cores.first[s], cores.size[s], cores.x, cores.y, r2):
+        near = _bounds(_point_boxes(qx, qy), cores.box.take(s, axis=1))[0] <= r2
+        k, s = k[near], s[near]
+        for i, j, hit in _pair_tests(qx[near], qy[near], cores.first[s], cores.size[s], cores.x, cores.y, r2):
             np.minimum.at(best, lo + k[i[hit]], root[j[hit]])
     found = best < len(index)
     return todo[found], best[found]
@@ -620,9 +593,10 @@ def dbscan_naive(points, eps: float, min_pts: int) -> ClusterLabels:
     eps2 = eps * eps
 
     def scan(q: int) -> np.ndarray:
-        dx = xs - xs[q]
-        dy = ys - ys[q]
-        return np.flatnonzero(dx * dx + dy * dy <= eps2)
+        with np.errstate(over="ignore"):
+            dx = xs - xs[q]
+            dy = ys - ys[q]
+            return np.flatnonzero(dx * dx + dy * dy <= eps2)
 
     labels = [0] * n
     processed = [False] * n

@@ -486,8 +486,8 @@ def test_cluster_numbered_by_lowest_core_not_first_in_sub_cell_order():
     assert list(labels.labels) == [1] + [2] * 9 + [1] * 10
 
 
-def pairs_tested(index, at_least):
-    """Pairs ``counts_within(at_least)`` hands to ``_pair_tests``, and its result."""
+def pairs_tested_by(call):
+    """Pairs ``call()`` hands to ``_pair_tests``, and its result."""
     tested = []
     real = clustering._pair_tests
 
@@ -496,8 +496,13 @@ def pairs_tested(index, at_least):
         return real(qx, qy, first, size, *rest)
 
     with mock.patch.object(clustering, "_pair_tests", counting):
-        out = index.counts_within(at_least)
+        out = call()
     return sum(tested), out
+
+
+def pairs_tested(index, at_least):
+    """Pairs ``counts_within(at_least)`` hands to ``_pair_tests``, and its result."""
+    return pairs_tested_by(lambda: index.counts_within(at_least))
 
 
 def test_sub_cells_cut_pair_tests_on_a_full_scale_cloud():
@@ -516,6 +521,21 @@ def test_sub_cells_cut_pair_tests_on_a_full_scale_cloud():
     whole_cells, whole_out = pairs_tested(whole, min_pts)
     assert np.array_equal(out >= min_pts, whole_out >= min_pts)
     assert 0 < 5 * sub_cells <= whole_cells, (sub_cells, whole_cells)
+
+
+def test_probe_joins_the_core_cells_of_a_full_scale_cloud():
+    # the cloud of test_sub_cells_cut_pair_tests_on_a_full_scale_cloud; without
+    # the probe, _connect tests some 2.8M core pairs one by one
+    rng = np.random.default_rng(14)
+    centers = np.stack([rng.uniform(80, 1200, 14), rng.uniform(80, 640, 14)], axis=1)
+    packs = np.repeat(centers, 1250, axis=0) + rng.normal(0, 1.5, (14 * 1250, 2))
+    pts = rng.permutation(np.vstack([packs, rng.integers(0, (1280, 720), (15_000, 2))]))
+    eps, min_pts = 2.5, 50
+    index = GridIndex(pts, eps)
+    cores = clustering._CoreCells(index, index.counts_within(min_pts) >= min_pts)
+    tested, root = pairs_tested_by(lambda: clustering._connect(index, cores))
+    assert tested <= 10_000, tested
+    assert np.unique(root).size == dbscan(pts, eps, min_pts).n_groups
 
 
 # --- the coarse screen before the grid --------------------------------------
@@ -663,10 +683,7 @@ def test_dbscan_matches_naive_at_the_radius_bounds(eps):
     for pts in clouds:
         pts = pts * (eps / 2.5)  # eps plays 2.5 px
         min_pts = int(rng.integers(1, 8))
-        fast = dbscan(pts, eps, min_pts)
-        with np.errstate(over="ignore"):  # the oracle's squares of far pairs overflow to inf
-            slow = dbscan_naive(pts, eps, min_pts)
-        assert fast == slow
+        assert dbscan(pts, eps, min_pts) == dbscan_naive(pts, eps, min_pts)
 
 
 def test_dbscan_matches_naive_on_a_full_scale_frame(tmp_path):
