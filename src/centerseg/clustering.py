@@ -58,7 +58,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -96,22 +95,6 @@ class ClusterLabels:
 
     def __len__(self) -> int:
         return int(self.labels.size)
-
-    @cached_property
-    def members(self) -> tuple[np.ndarray, ...]:
-        """Read-only point indices of groups 1..n_groups, each ascending,
-        from one stable sort of the grouped points (group 0 is left out of
-        the sort). Computed on first use and kept: the labels are read-only."""
-        if self.n_groups == 0:
-            return ()
-        grouped = np.flatnonzero(self.labels)
-        keys = self.labels[grouped]
-        if self.n_groups <= np.iinfo(np.uint16).max:
-            keys = keys.astype(np.uint16)  # numpy's stable sort of 16-bit keys is a radix sort
-        order = grouped[np.argsort(keys, kind="stable")]
-        order.flags.writeable = False
-        cuts = np.searchsorted(self.labels[order], np.arange(2, self.n_groups + 1))
-        return tuple(np.split(order, cuts))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClusterLabels):
@@ -593,7 +576,7 @@ def dbscan_naive(points, eps: float, min_pts: int) -> ClusterLabels:
     eps2 = eps * eps
 
     def scan(q: int) -> np.ndarray:
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             dx = xs - xs[q]
             dy = ys - ys[q]
             return np.flatnonzero(dx * dx + dy * dy <= eps2)
@@ -610,7 +593,7 @@ def dbscan_naive(points, eps: float, min_pts: int) -> ClusterLabels:
             continue
         cluster += 1
         labels[i] = cluster
-        fifo = [int(j) for j in neigh]
+        fifo = neigh.tolist()
         k = 0
         while k < len(fifo):
             j = fifo[k]
@@ -622,7 +605,7 @@ def dbscan_naive(points, eps: float, min_pts: int) -> ClusterLabels:
             processed[j] = True
             jn = scan(j)
             if jn.size >= min_pts:
-                fifo.extend(int(m) for m in jn)
+                fifo.extend(jn.tolist())
     return ClusterLabels(np.asarray(labels, dtype=np.int64), cluster)
 
 

@@ -108,9 +108,7 @@ def _ap_from_pool(scores: np.ndarray, tp: np.ndarray, n_gt: int) -> float:
     recall = cum_tp / n_gt
     precision = cum_tp / (cum_tp + cum_fp)
     mrec = np.concatenate(([0.0], recall, [1.0]))
-    mpre = np.concatenate(([0.0], precision, [0.0]))
-    for i in range(mpre.size - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    mpre = np.maximum.accumulate(np.concatenate(([0.0], precision, [0.0]))[::-1])[::-1]
     steps = np.flatnonzero(mrec[1:] != mrec[:-1]) + 1
     return float(((mrec[steps] - mrec[steps - 1]) * mpre[steps]).sum())
 

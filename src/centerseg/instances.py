@@ -100,6 +100,24 @@ def _boxes(dims: GridDims, source_pixels: np.ndarray, labels: np.ndarray, n_grou
     return box[:, 1:]
 
 
+def _group_means(cloud: CenterCloud, labels: ClusterLabels) -> tuple[np.ndarray, np.ndarray]:
+    """Vote count and mean vote position of each group 1..n_groups, as
+    ``(sizes, centroids)`` of shapes (n_groups,) and (n_groups, 2).
+
+    Three bincounts over the grouped votes: the counts, then the x and y
+    sums with the positions as weights. ``bincount`` adds each group's
+    weights in ascending vote order, as the row-by-row axis-0 sum of
+    ``positions.take(idx, axis=0).mean(axis=0)`` does, so the means are
+    equal to it bit for bit.
+    """
+    grouped = np.flatnonzero(labels.labels)
+    keys = labels.labels[grouped]
+    n = labels.n_groups + 1
+    sizes = np.bincount(keys, minlength=n)[1:]
+    sums = [np.bincount(keys, cloud.positions[grouped, axis], minlength=n)[1:] for axis in (0, 1)]
+    return sizes, np.stack(sums, axis=1) / sizes[:, None]
+
+
 def instances_from_labels(
     cloud: CenterCloud, labels: ClusterLabels, mask_labels: ClusterLabels | None = None
 ) -> list[Instance]:
@@ -117,8 +135,7 @@ def instances_from_labels(
     is the crop of its group's tight box where the image holds the group.
     """
     _check_alignment(cloud, labels)
-    members = labels.members
-    if not members:
+    if labels.n_groups == 0:
         return []
     traced = labels
     if mask_labels is not None and mask_labels is not labels:
@@ -131,16 +148,15 @@ def instances_from_labels(
     image[cloud.source_pixels] = traced.labels
     image = image.reshape(dims.shape)
     boxes = _boxes(dims, cloud.source_pixels, traced.labels, labels.n_groups).T.tolist()
-    largest = max(idx.size for idx in members)
+    sizes, centers = _group_means(cloud, labels)
+    scores = (sizes / sizes.max()).tolist()
     out = []
-    for group, (idx, (r0, r1, c0, c1)) in enumerate(zip(members, boxes), start=1):
+    for group, (center, score, (r0, r1, c0, c1)) in enumerate(zip(centers.tolist(), scores, boxes), start=1):
         mask = BinaryMask._from_crop(dims, (r0, r1, c0, c1), image[r0:r1, c0:c1] == group)
-        center = cloud.positions.take(idx, axis=0).mean(axis=0)
-        score = min(1.0, idx.size / largest)
         out.append(
             Instance(
                 mask=mask,
-                predicted_center=(float(center[0]), float(center[1])),
+                predicted_center=tuple(center),
                 cls=CLASS_PIGLET,
                 score=score,
             )
@@ -235,7 +251,7 @@ def reassign_unlabeled(cloud: CenterCloud, labels: ClusterLabels) -> ClusterLabe
     zero = np.flatnonzero(labels.labels == 0)
     if zero.size == 0:
         return labels
-    centroids = np.array([cloud.positions.take(idx, axis=0).mean(axis=0) for idx in labels.members])
+    _, centroids = _group_means(cloud, labels)
     grid = _cell_groups(cloud.dims, centroids)
     rows, cols = grid.shape
     cell_group = np.r_[grid.ravel(), 0]  # and 0 for the votes outside the cells

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from centerseg import GridDims, OffsetMap, SemanticMap, cli
+from centerseg import GridDims, OffsetMap, PipelineConfig, SemanticMap, cli, segment_frame
 from centerseg.cli import main
 from centerseg.formats import (
+    manifest_dumps,
     read_manifest,
+    read_offsets,
+    read_semantic,
     tracks_csv_loads,
     write_offsets,
     write_semantic,
@@ -332,6 +335,23 @@ def test_nan_config_values_fail_before_any_frame_is_read(tmp_path, capsys):
         cfg_path.write_text(f"{key}=nan\n")
         assert main([*segment, "--config", str(cfg_path)]) == 2, key
         assert f"{cfg_path}: byte 0: {key} must be > 0" in capsys.readouterr().err, key
+
+
+def test_segment_mean_shift_then_eval(tmp_path, capsys):
+    # offset noise leaves votes that DBSCAN calls noise and mean-shift groups, so the backends differ
+    frames = tmp_path / "frames"
+    assert main(["synth", str(write_scene(tmp_path, "offset_sigma=3\n")), "--out-dir", str(frames)]) == 0
+    sem, off, out = frames / "frame_0000.ccsm", frames / "frame_0000.ccof", tmp_path / "ms.json"
+    flags = ["--algo", "mean-shift", "--bandwidth", "6", "--min-neighbors", "5"]
+    assert main(["segment", str(sem), str(off), "--out", str(out), *flags]) == 0
+    assert main(["eval", "--pred", str(out), "--gt", str(frames / "gt_0000.json")]) == 0
+    assert "mAP = " in capsys.readouterr().out
+    cfg = PipelineConfig(algo="mean-shift", bandwidth=6.0, min_neighbors=5)
+    semantic, offsets = read_semantic(sem), read_offsets(off)
+    result = segment_frame(semantic, offsets, cfg)
+    assert sum(1 for i in result.instances if i.cls == "piglet") == 4
+    assert result.instances != segment_frame(semantic, offsets, PipelineConfig(min_neighbors=5)).instances
+    assert out.read_text() == manifest_dumps(0, semantic.dims, result.instances)
 
 
 def test_rc2m_flag_matches_config_file(tmp_path, capsys):

@@ -27,6 +27,7 @@ from centerseg import (
     neighbors_at_least,
 )
 from centerseg.cli import main
+from centerseg.instances import _group_means
 from test_golden import FULLRES_SCENE
 
 
@@ -79,17 +80,33 @@ def test_cluster_labels_rejections(labels, n_groups, message):
         ClusterLabels(np.array(labels, dtype=np.int64), n_groups)
 
 
-def test_cluster_labels_members_group_once():
-    rng = np.random.default_rng(5)
-    for n_groups in (0, 1, 4):
-        raw = rng.integers(0, n_groups + 1, size=60)
-        raw[: n_groups + 1] = np.arange(n_groups + 1)  # every group non-empty
-        labels = ClusterLabels(raw, n_groups)
-        want = [np.flatnonzero(raw == g) for g in range(1, n_groups + 1)]
-        assert len(labels.members) == n_groups
-        assert all(np.array_equal(got, w) for got, w in zip(labels.members, want))
-        assert labels.members is labels.members
-        assert all(not idx.flags.writeable for idx in labels.members)
+@st.composite
+def grouped_votes(draw):
+    """Labels with every group 1..n_groups non-empty: many groups of one
+    vote, or a few large ones; positions up to the float32 range."""
+    n_groups = draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    extra = rng.integers(0, n_groups + 1, draw(st.integers(0, 3000)))
+    raw = rng.permutation(np.r_[np.arange(n_groups + 1), extra])
+    scale = draw(st.sampled_from([1.0, 1280.0, 3e38]))
+    return ClusterLabels(raw, n_groups), rng.uniform(-1, 1, (raw.size, 2)) * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(grouped=grouped_votes())
+def test_group_means_match_per_group_means(grouped):
+    labels, positions = grouped
+    n = len(labels)
+    cloud = CenterCloud(
+        dims=GridDims(n, 1), source_pixels=np.arange(n), positions=positions, filtered=np.zeros(n, dtype=bool)
+    )
+    sizes, centroids = _group_means(cloud, labels)
+    members = [np.flatnonzero(labels.labels == g) for g in range(1, labels.n_groups + 1)]
+    with np.errstate(over="ignore", invalid="ignore"):  # float32-range sums overflow, as in _group_means
+        want = np.array([positions.take(idx, axis=0).mean(axis=0) for idx in members]).reshape(-1, 2)
+    assert sizes.tolist() == [idx.size for idx in members]
+    # bit for bit, the NaNs of inf - inf included
+    assert np.array_equal(centroids.view(np.uint64), want.view(np.uint64))
 
 
 def test_parameter_validation():
@@ -368,8 +385,7 @@ def test_huge_finite_coordinates():
 
 def test_non_finite_votes_have_no_neighbors():
     pts = np.array([[0.0, 0.0]] * 5 + [[np.nan, 0.0], [np.inf, 1.0], [0.0, -np.inf]] + [[0.5, 0.0]] * 2)
-    with np.errstate(invalid="ignore"):
-        expected = dbscan_naive(pts, 1.0, 3)
+    expected = dbscan_naive(pts, 1.0, 3)
     assert dbscan(pts, 1.0, 3) == expected
     assert list(expected.labels) == [1] * 5 + [0] * 3 + [1] * 2
     assert list(neighbor_counts(pts, 1.0)) == [7] * 5 + [0] * 3 + [7] * 2
@@ -586,7 +602,7 @@ def test_screen_leaves_out_only_noise(cloud, min_pts):
     with np.errstate(invalid="ignore"):
         labels, groups = contract_labels(pts, eps, min_pts)
         reach = exact_counts(pts, 2 * eps)
-        naive = dbscan_naive(pts, eps, min_pts)
+    naive = dbscan_naive(pts, eps, min_pts)
     if min_pts == 1 or np.abs(pts).max() > 1e38:
         assert kept is None
     if kept is not None:
