@@ -55,7 +55,12 @@ class FormatError(ValueError):
     def __init__(self, path, offset: int, message: str):
         self.path = str(path)
         self.offset = offset
+        self.message = message
         super().__init__(f"{self.path}: byte {offset}: {message}")
+
+    def __reduce__(self):
+        # args holds the formatted text, not the three arguments __init__ takes
+        return type(self), (self.path, self.offset, self.message)
 
 
 def _parse_header(data: bytes, magic: bytes, bytes_per_pixel: int, path) -> GridDims:

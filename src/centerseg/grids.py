@@ -78,11 +78,20 @@ class BinaryMask:
         px = np.asarray(pixels, dtype=bool)
         if px.shape != dims.shape:
             raise ValueError(f"mask shape {px.shape} does not match dims {dims.shape}")
+        self._set_tight(dims, 0, 0, px)
+
+    def _set_tight(self, dims: GridDims, row0: int, col0: int, px: np.ndarray) -> None:
+        """Set the mask to the pixels of ``px``, a box of the frame whose
+        top-left pixel is (row0, col0): the box shrinks to the set pixels
+        and their crop is copied."""
         rows = np.flatnonzero(px.any(axis=1))
-        r0, r1 = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
+        if not rows.size:
+            self._set(dims, (0, 0, 0, 0), np.zeros((0, 0), dtype=bool))
+            return
+        r0, r1 = int(rows[0]), int(rows[-1]) + 1
         cols = np.flatnonzero(px[r0:r1].any(axis=0))
-        c0, c1 = (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
-        self._set(dims, (r0, r1, c0, c1), px[r0:r1, c0:c1].copy())
+        c0, c1 = int(cols[0]), int(cols[-1]) + 1
+        self._set(dims, (row0 + r0, row0 + r1, col0 + c0, col0 + c1), px[r0:r1, c0:c1].copy())
 
     def _set(self, dims: GridDims, bbox: tuple[int, int, int, int], crop: np.ndarray) -> None:
         object.__setattr__(self, "dims", dims)
@@ -95,6 +104,18 @@ class BinaryMask:
         """A mask from a tight box and its crop, which it keeps (no copy)."""
         mask = cls.__new__(cls)
         mask._set(dims, bbox, crop)
+        return mask
+
+    @classmethod
+    def _from_box(cls, dims: GridDims, row0: int, col0: int, pixels: np.ndarray) -> "BinaryMask":
+        """The set pixels of ``pixels``, a boolean box of the frame whose
+        top-left pixel is (row0, col0); equal to ``BinaryMask`` of the whole
+        frame with that box placed in it."""
+        rows, cols = pixels.shape
+        if not (0 <= row0 and row0 + rows <= dims.height and 0 <= col0 and col0 + cols <= dims.width):
+            raise ValueError(f"box {rows}x{cols} at ({row0}, {col0}) does not fit in dims {dims.shape}")
+        mask = cls.__new__(cls)
+        mask._set_tight(dims, row0, col0, np.asarray(pixels, dtype=bool))
         return mask
 
     @classmethod

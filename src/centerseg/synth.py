@@ -94,7 +94,7 @@ class SceneSpec:
     orientations: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.dims.npixels > MAX_FRAME_PIXELS:  # a frame is rasterised whole, several arrays of it at once
+        if self.dims.npixels > MAX_FRAME_PIXELS:  # the output maps are whole frames
             raise ValueError(f"{self.dims.width}x{self.dims.height} exceeds the {MAX_FRAME_PIXELS}-pixel limit")
         if self.n_piglets < 0:
             raise ValueError("n_piglets must be >= 0")
@@ -142,51 +142,74 @@ class _Layout:
     sow_theta: float
 
 
-def _coord_grids(dims: GridDims) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.arange(dims.width, dtype=np.float64)[None, :]
-    ys = np.arange(dims.height, dtype=np.float64)[:, None]
-    return xs, ys
+# Rows per block of whole-frame work (occluder bars, perturb): about 64k
+# pixels, so its float64 temporaries stay near half a megabyte each.
+_BLOCK_PIXELS = 1 << 16
 
 
-def _ellipse_mask(dims: GridDims, cx: float, cy: float, a: float, b: float, theta: float) -> np.ndarray:
-    """Full-frame mask of the pixels inside a rotated ellipse.
+def _row_blocks(dims: GridDims):
+    """Consecutive row ranges ``(r0, r1)`` that tile the frame top to bottom."""
+    step = max(1, _BLOCK_PIXELS // dims.width)
+    for r0 in range(0, dims.height, step):
+        yield r0, min(r0 + step, dims.height)
 
-    The test runs only over the ellipse's bounding box plus a pixel on
-    each side, so that rounding cannot leave out a pixel; each pixel's
-    arithmetic is the same as over the whole frame.
-    """
-    ex, ey = _ellipse_extent(a, b, theta)
-    x0, x1 = max(0, math.floor(cx - ex) - 1), min(dims.width, math.ceil(cx + ex) + 2)
-    y0, y1 = max(0, math.floor(cy - ey) - 1), min(dims.height, math.ceil(cy + ey) + 2)
-    out = np.zeros(dims.shape, dtype=bool)
-    if x0 >= x1 or y0 >= y1:
-        return out
+
+def _box(dims: GridDims, cx: float, cy: float, ex: float, ey: float) -> tuple[int, int, int, int]:
+    """Rows ``[y0, y1)`` and columns ``[x0, x1)`` of the frame within one
+    pixel of the box ``|x - cx| <= ex, |y - cy| <= ey``, so that rounding
+    cannot leave out a pixel of a shape inside it; empty off the frame."""
+    x0 = min(max(0, math.floor(cx - ex) - 1), dims.width)
+    y0 = min(max(0, math.floor(cy - ey) - 1), dims.height)
+    x1 = max(min(dims.width, math.ceil(cx + ex) + 2), x0)
+    y1 = max(min(dims.height, math.ceil(cy + ey) + 2), y0)
+    return y0, y1, x0, x1
+
+
+def _window(frame: np.ndarray, row0: int, col0: int, crop: np.ndarray) -> np.ndarray:
+    """The view of ``frame`` that ``crop`` covers when placed at (row0, col0)."""
+    return frame[row0 : row0 + crop.shape[0], col0 : col0 + crop.shape[1]]
+
+
+def _ellipse_mask(dims: GridDims, cx: float, cy: float, a: float, b: float, theta: float):
+    """``(row0, col0, crop)``: the pixels inside a rotated ellipse, over its
+    bounding box plus a pixel on each side, cut to the frame."""
+    y0, y1, x0, x1 = _box(dims, cx, cy, *_ellipse_extent(a, b, theta))
     dx = np.arange(x0, x1, dtype=np.float64)[None, :] - cx
     dy = np.arange(y0, y1, dtype=np.float64)[:, None] - cy
     ca, sa = math.cos(theta), math.sin(theta)
     u = (dx * ca + dy * sa) / a
     v = (-dx * sa + dy * ca) / b
-    out[y0:y1, x0:x1] = u * u + v * v <= 1.0
-    return out
+    return y0, x0, u * u + v * v <= 1.0
 
 
-def _stadium_mask(dims: GridDims, cx: float, cy: float, half_len: float, radius: float, theta: float) -> np.ndarray:
-    xs, ys = _coord_grids(dims)
-    dx = xs - cx
-    dy = ys - cy
+def _stadium_mask(dims: GridDims, cx: float, cy: float, half_len: float, radius: float, theta: float):
+    """``(row0, col0, crop)``: the pixels within ``radius`` of a segment of
+    half length ``half_len`` through (cx, cy), over its bounding box plus a
+    pixel on each side, cut to the frame."""
     ca, sa = math.cos(theta), math.sin(theta)
+    y0, y1, x0, x1 = _box(dims, cx, cy, half_len * abs(ca) + radius, half_len * abs(sa) + radius)
+    dx = np.arange(x0, x1, dtype=np.float64)[None, :] - cx
+    dy = np.arange(y0, y1, dtype=np.float64)[:, None] - cy
     u = dx * ca + dy * sa
     v = -dx * sa + dy * ca
     t = np.clip(u, -half_len, half_len)
-    return (u - t) ** 2 + v**2 <= radius * radius
+    return y0, x0, (u - t) ** 2 + v**2 <= radius * radius
 
 
-def _bar_mask(dims: GridDims, bar: OccluderBar) -> np.ndarray:
-    xs, ys = _coord_grids(dims)
-    dx = xs - bar.cx
-    dy = ys - bar.cy
-    dist = np.abs(-dx * math.sin(bar.angle) + dy * math.cos(bar.angle))
-    return dist <= bar.width / 2.0
+def _bar_union(dims: GridDims, bars) -> np.ndarray:
+    """Full-frame mask of the pixels under any occluder bar, a row block at a time."""
+    union = np.zeros(dims.shape, dtype=bool)
+    if not bars:
+        return union
+    xs = np.arange(dims.width, dtype=np.float64)[None, :]
+    for r0, r1 in _row_blocks(dims):
+        ys = np.arange(r0, r1, dtype=np.float64)[:, None]
+        for bar in bars:
+            dx = xs - bar.cx
+            dy = ys - bar.cy
+            dist = np.abs(-dx * math.sin(bar.angle) + dy * math.cos(bar.angle))
+            union[r0:r1] |= dist <= bar.width / 2.0
+    return union
 
 
 def _ellipse_extent(a: float, b: float, theta: float) -> tuple[float, float]:
@@ -212,15 +235,12 @@ def _sample_layout(spec: SceneSpec) -> _Layout:
         cy = float(rng.uniform(0.15 * h, 0.85 * h))
         width = float(rng.uniform(*spec.occluder_width))
         bars.append(OccluderBar(cx=cx, cy=cy, angle=angle, width=width))
-    bar_union = np.zeros(dims.shape, dtype=bool)
-    for bar in bars:
-        bar_union |= _bar_mask(dims, bar)
+    hidden = _bar_union(dims, bars)  # then also the pixels under each piglet placed
 
     n = spec.n_piglets
     centers = np.zeros((n, 2))
     axes = np.zeros((n, 2))
     thetas = np.zeros(n)
-    free = np.ones(dims.shape, dtype=bool)  # not claimed by a higher piglet
 
     if spec.positions is not None:
         for i in range(n):
@@ -233,7 +253,8 @@ def _sample_layout(spec: SceneSpec) -> _Layout:
             centers[i] = spec.positions[i]
             axes[i] = (a, b)
             thetas[i] = theta
-            free &= ~_ellipse_mask(dims, centers[i, 0], centers[i, 1], a, b, theta)
+            row0, col0, ell = _ellipse_mask(dims, centers[i, 0], centers[i, 1], a, b, theta)
+            _window(hidden, row0, col0, ell)[...] |= ell
     else:
         for i in range(n):
             placed = False
@@ -250,19 +271,22 @@ def _sample_layout(spec: SceneSpec) -> _Layout:
                     dist = np.hypot(centers[:i, 0] - cx, centers[:i, 1] - cy)
                     if dist.min() < spec.min_center_separation:
                         continue
-                ell = _ellipse_mask(dims, cx, cy, a, b, theta)
-                visible = ell & free & ~bar_union
+                row0, col0, ell = _ellipse_mask(dims, cx, cy, a, b, theta)
+                box = _window(hidden, row0, col0, ell)
+                visible = ell & ~box
                 if int(visible.sum()) < spec.min_visible_area:
                     continue
                 if spec.central_radius > 0 and spec.min_central_visible > 0:
-                    gx, gy = _coord_grids(dims)
+                    # visible pixels lie in the ellipse's box, so the count needs no more of the frame
+                    gx = np.arange(col0, col0 + ell.shape[1], dtype=np.float64)[None, :]
+                    gy = np.arange(row0, row0 + ell.shape[0], dtype=np.float64)[:, None]
                     near = (gx - cx) ** 2 + (gy - cy) ** 2 <= spec.central_radius**2
                     if int((visible & near).sum()) < spec.min_central_visible:
                         continue
                 centers[i] = (cx, cy)
                 axes[i] = (a, b)
                 thetas[i] = theta
-                free &= ~ell
+                box |= ell
                 placed = True
                 break
             if not placed:
@@ -282,8 +306,8 @@ def _sample_layout(spec: SceneSpec) -> _Layout:
             cx = float(rng.uniform(margin, w - 1 - margin))
             cy = float(rng.uniform(margin, h - 1 - margin))
             theta = float(rng.uniform(0, math.pi))
-            body = _stadium_mask(dims, cx, cy, spec.sow_half_length, spec.sow_radius, theta)
-            visible = body & free & ~bar_union
+            row0, col0, body = _stadium_mask(dims, cx, cy, spec.sow_half_length, spec.sow_radius, theta)
+            visible = body & ~_window(hidden, row0, col0, body)
             if int(visible.sum()) >= spec.sow_min_visible_area:
                 sow_center = (cx, cy)
                 sow_theta = theta
@@ -327,58 +351,40 @@ def _advance(layout: _Layout, dims: GridDims, steps: int) -> None:
 
 
 def _rasterize(spec: SceneSpec, layout: _Layout, frame_index: int) -> SyntheticFrame:
+    """The frame of a layout, written body by body over each body's box."""
     dims = spec.dims
-    n = spec.n_piglets
-    EMPTY = -1
-    SOW_OWNER = n
-    owner = np.full(dims.shape, EMPTY, dtype=np.int32)
-    full_masks = []
-    for i in range(n):
-        ell = _ellipse_mask(
-            dims, layout.centers[i, 0], layout.centers[i, 1],
-            layout.axes[i, 0], layout.axes[i, 1], layout.thetas[i],
-        )
-        full_masks.append(ell)
-        owner[ell & (owner == EMPTY)] = i
-    sow_full = None
+    bodies = [
+        (CLASS_PIGLET, (float(cx), float(cy)), _ellipse_mask(dims, cx, cy, a, b, theta))
+        for (cx, cy), (a, b), theta in zip(layout.centers, layout.axes, layout.thetas)
+    ]
     if layout.sow_center is not None:
-        sow_full = _stadium_mask(
-            dims, layout.sow_center[0], layout.sow_center[1],
-            spec.sow_half_length, spec.sow_radius, layout.sow_theta,
-        )
-        owner[sow_full & (owner == EMPTY)] = SOW_OWNER
+        cx, cy = layout.sow_center
+        body = _stadium_mask(dims, cx, cy, spec.sow_half_length, spec.sow_radius, layout.sow_theta)
+        bodies.append((CLASS_SOW, (float(cx), float(cy)), body))
 
-    bar_union = np.zeros(dims.shape, dtype=bool)
-    for bar in layout.bars:
-        bar_union |= _bar_mask(dims, bar)
-
+    hidden = _bar_union(dims, layout.bars)
+    occluder_mask = BinaryMask(dims, hidden)  # a copy: from here on hidden also grows under each body laid
     labels = np.zeros(dims.shape, dtype=np.uint8)
     offsets = np.zeros((*dims.shape, 2), dtype=np.float32)
-    xs, ys = _coord_grids(dims)
     gt = []
-    for i in range(n):
-        visible = (owner == i) & ~bar_union
-        cx, cy = float(layout.centers[i, 0]), float(layout.centers[i, 1])
-        labels[visible] = PIGLET
-        offsets[visible, 0] = (cx - np.broadcast_to(xs, dims.shape))[visible]
-        offsets[visible, 1] = (cy - np.broadcast_to(ys, dims.shape))[visible]
+    for cls, (cx, cy), (row0, col0, full) in bodies:  # top of the pile first
+        box = _window(hidden, row0, col0, full)
+        visible = full & ~box
+        box |= full
+        if cls == CLASS_PIGLET:
+            _window(labels, row0, col0, full)[visible] = PIGLET
+            rows, cols = np.nonzero(visible)
+            off = _window(offsets, row0, col0, full)
+            off[rows, cols, 0] = cx - (col0 + cols)
+            off[rows, cols, 1] = cy - (row0 + rows)
+        else:
+            _window(labels, row0, col0, full)[visible] = SOW
         gt.append(
             GroundTruthInstance(
-                cls=CLASS_PIGLET,
-                full_mask=BinaryMask(dims, full_masks[i]),
-                visible_mask=BinaryMask(dims, visible),
+                cls=cls,
+                full_mask=BinaryMask._from_box(dims, row0, col0, full),
+                visible_mask=BinaryMask._from_box(dims, row0, col0, visible),
                 center=(cx, cy),
-            )
-        )
-    if sow_full is not None:
-        sow_visible = (owner == SOW_OWNER) & ~bar_union
-        labels[sow_visible] = SOW
-        gt.append(
-            GroundTruthInstance(
-                cls=CLASS_SOW,
-                full_mask=BinaryMask(dims, sow_full),
-                visible_mask=BinaryMask(dims, sow_visible),
-                center=(float(layout.sow_center[0]), float(layout.sow_center[1])),
             )
         )
 
@@ -388,7 +394,7 @@ def _rasterize(spec: SceneSpec, layout: _Layout, frame_index: int) -> SyntheticF
         gt=tuple(gt),
         semantic=SemanticMap(dims, labels),
         offsets=OffsetMap(dims, offsets),
-        occluder_mask=BinaryMask(dims, bar_union),
+        occluder_mask=occluder_mask,
     )
 
 
@@ -422,14 +428,19 @@ def perturb(frame: SyntheticFrame, noise: NoiseModel, seed: int) -> tuple[Semant
     Deterministic per seed; zero noise returns values equal to the
     inputs.
     """
+    # Row blocks draw the same numbers as whole-frame draws would, in the
+    # same order: every flip draw first, then every offset draw.
     rng = np.random.default_rng(seed)
     labels = frame.semantic.labels.copy()
-    flip = (rng.random(labels.shape) < noise.flip_rate) & (labels != SOW)
-    flipped = np.where(labels == PIGLET, BACKGROUND, PIGLET).astype(np.uint8)
-    labels[flip] = flipped[flip]
-    vec = frame.offsets.vectors.astype(np.float64)
-    vec = vec + rng.normal(0.0, noise.offset_sigma, size=vec.shape)
-    return SemanticMap(frame.dims, labels), OffsetMap(frame.dims, vec.astype(np.float32))
+    for r0, r1 in _row_blocks(frame.dims):
+        block = labels[r0:r1]
+        flip = (rng.random(block.shape) < noise.flip_rate) & (block != SOW)
+        block[flip] = np.where(block[flip] == PIGLET, BACKGROUND, PIGLET)
+    vectors = np.empty_like(frame.offsets.vectors)
+    for r0, r1 in _row_blocks(frame.dims):
+        vec = frame.offsets.vectors[r0:r1].astype(np.float64)
+        vectors[r0:r1] = vec + rng.normal(0.0, noise.offset_sigma, size=vec.shape)
+    return SemanticMap(frame.dims, labels), OffsetMap(frame.dims, vectors)
 
 
 def gt_instances(frame: SyntheticFrame) -> list[Instance]:

@@ -1,7 +1,9 @@
 """Bit-exact file formats: binary maps, manifests, CSV, config files."""
 
 import json
+import pickle
 import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -99,6 +101,14 @@ def test_bad_magic_offset_zero():
         semantic_from_bytes(b"XXSM" + bytes(20), path="bad.ccsm")
     assert err.value.offset == 0
     assert "bad.ccsm" in str(err.value)
+
+
+def test_format_error_survives_pickling():
+    # a worker process hands its exception back to the parent pickled
+    err = FormatError(Path("x.ccsm"), 3, "truncated payload")
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is FormatError
+    assert (back.path, back.offset, back.message, str(back)) == ("x.ccsm", 3, "truncated payload", str(err))
 
 
 def test_bad_version_offset_four():

@@ -216,6 +216,33 @@ def test_equal_masks_from_every_constructor_are_equal_and_hash_equal(w, h, bits)
     assert BinaryMask(dims, flipped) != masks[0]
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    w=st.integers(1, 12),
+    h=st.integers(1, 12),
+    corner=st.tuples(st.integers(0, 11), st.integers(0, 11), st.integers(0, 12), st.integers(0, 12)),
+    bits=st.lists(st.booleans(), min_size=144, max_size=144),
+)
+def test_mask_from_a_box_equals_mask_of_the_frame_holding_it(w, h, corner, bits):
+    # a generator builds masks from the box a shape was computed over
+    dims = GridDims(w, h)
+    row0, col0 = min(corner[0], h), min(corner[1], w)
+    rows, cols = min(corner[2], h - row0), min(corner[3], w - col0)
+    box = np.array(bits).reshape(12, 12)[:rows, :cols]
+    frame = np.zeros(dims.shape, dtype=bool)
+    frame[row0 : row0 + rows, col0 : col0 + cols] = box
+    mask = BinaryMask._from_box(dims, row0, col0, box)
+    assert mask == BinaryMask(dims, frame)
+    assert hash(mask) == hash(BinaryMask(dims, frame))
+
+
+def test_mask_from_a_box_must_fit_the_frame():
+    dims = GridDims(5, 4)
+    for row0, col0, shape in [(-1, 0, (2, 2)), (0, -1, (2, 2)), (3, 0, (2, 2)), (0, 4, (2, 2)), (0, 0, (4, 6))]:
+        with pytest.raises(ValueError, match="does not fit"):
+            BinaryMask._from_box(dims, row0, col0, np.ones(shape, dtype=bool))
+
+
 def test_decoded_full_scale_instance_holds_its_box_not_the_frame():
     dims = GridDims(1280, 720)
     ys, xs = np.mgrid[:720, :1280]
