@@ -5,13 +5,14 @@ success, 1 runtime failure (running out of memory too), 2 malformed
 input or bad arguments (argparse's rejections too; ``--help`` exits 0).
 Each command has flags for only the pipeline config keys it reads; its
 ``--config`` file may set any key.
-``segment --batch-dir`` runs frames on --jobs worker threads (at least
-1; by default min(8, cpu_count)), names a failing frame by its ``.ccsm``
-path and then publishes no manifest. ``track`` reads each manifest just
-before its update and publishes its output files together once all are
-written. ``eval`` loads its manifests one after another: it accepts
---jobs, which has no effect. ``gradcheck --n`` and ``synth --frames``
-must be at least 1 too, and ``gradcheck --seed`` at least 0.
+``segment --batch-dir`` segments its frames one after another in name
+order, stops at the first that fails, names it by its ``.ccsm`` path and
+then publishes no manifest. ``track`` reads each manifest just before
+its update and publishes its output files together once all are
+written. ``eval`` loads its manifests one after another. ``segment``
+and ``eval`` accept --jobs, an integer of at least 1 that has no effect.
+``gradcheck --n`` and ``synth --frames`` must be at least 1 too, and
+``gradcheck --seed`` at least 0.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import contextlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -54,7 +54,7 @@ def _at_least(low: int):
     return parse
 
 
-_count = _at_least(1)  # a worker, case or frame count
+_count = _at_least(1)  # a case or frame count, and --jobs
 _seed = _at_least(0)  # numpy seeds its generators from non-negative integers
 
 
@@ -86,6 +86,12 @@ def _add_config_flags(parser: argparse.ArgumentParser, *names: str) -> None:
     group.add_argument("--config", type=Path, help="key=value config file")
     for name in names:
         group.add_argument("--" + name.replace("_", "-"), dest=name, **_CONFIG_FLAGS[name])
+
+
+def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
+    """``--jobs``, kept so that existing command lines still parse: it is
+    range-checked like a count and then ignored."""
+    parser.add_argument("--jobs", type=_count, help="accepted for compatibility; has no effect")
 
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
@@ -143,20 +149,20 @@ def _cmd_segment(args: argparse.Namespace) -> int:
         sem_files = sorted(args.batch_dir.glob("*.ccsm"))
         if not sem_files:
             raise UsageError(f"no .ccsm files in {args.batch_dir}")
-        # every frame writes a temporary manifest; all of them are published
-        # once the last frame succeeds, and none if any frame fails
+        # every frame writes a temporary manifest, in name order; all of them
+        # are published once the last frame succeeds, and none if a frame
+        # fails, which ends the batch
         with _all_or_nothing() as stage:
-            jobs = []
+            frames = []
             for i, sem in enumerate(sem_files):
                 off = sem.with_suffix(".ccof")
                 if not off.exists():
                     raise UsageError(f"missing offset file for {sem}")
-                jobs.append((sem, off, stage(sem.with_suffix(".json")), i))
-            with ThreadPoolExecutor(max_workers=args.jobs or min(8, os.cpu_count() or 1)) as pool:
-                timings = list(pool.map(lambda j: run_one(*j), jobs))
+                frames.append((sem, off, stage(sem.with_suffix(".json")), i))
+            timings = [run_one(*frame) for frame in frames]
         if args.timings:
             args.timings.write_text(json.dumps(timings, sort_keys=True) + "\n")
-        print(f"segmented {len(jobs)} frames into {args.batch_dir}")
+        print(f"segmented {len(frames)} frames into {args.batch_dir}")
         return 0
 
     if not (args.semantic and args.offsets and args.out):
@@ -271,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame-id", type=int, help="frame id written to the manifest (default 0)")
     p.add_argument("--batch-dir", type=Path, help="directory of paired .ccsm/.ccof files")
     p.add_argument("--timings", type=Path, help="write per-stage wall times to this JSON file")
-    p.add_argument("--jobs", type=_count, help="worker threads for --batch-dir (default: min(8, cpu_count))")
+    _add_jobs_flag(p)
     _add_config_flags(p, "t", "min_neighbors", "filter_strategy", "eps", "min_pts", "rc2m", "algo", "bandwidth")
     p.set_defaults(func=_cmd_segment)
 
@@ -284,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="mAP of predictions against ground truth")
     p.add_argument("--pred", type=Path, nargs="+", required=True)
     p.add_argument("--gt", type=Path, nargs="+", required=True)
-    p.add_argument("--jobs", type=_count, help="accepted for compatibility; has no effect")
+    _add_jobs_flag(p)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference checks of the loss gradients")

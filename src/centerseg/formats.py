@@ -9,8 +9,8 @@ Binary maps:
 Text artifacts: instance manifests are single-line JSON with sorted keys
 (masks as run-length counts), tracks and metrics are CSV, heat maps are
 binary P5 graymaps with counts rescaled to 255 (raw counts go to a CSV
-alongside), configs are flat key=value files where unknown keys are
-errors. Text files are read as strict UTF-8.
+alongside), configs are flat key=value files where unknown or repeated
+keys are errors. Text files are read as strict UTF-8.
 
 Manifest run lists are written and, when in the writer's form, read
 with numpy: one digit formatter (shared with the counts CSV) writes all
@@ -87,9 +87,26 @@ def _parse_header(data: bytes, magic: bytes, bytes_per_pixel: int, path) -> Grid
     return dims
 
 
+def _map_parts(m: SemanticMap | OffsetMap) -> tuple[bytes, np.ndarray]:
+    """A binary map's 13-byte header and its payload: the map's array in
+    the file's byte order and C order, a copy only if it is not so already."""
+    if isinstance(m, SemanticMap):
+        magic, payload = SEMANTIC_MAGIC, np.ascontiguousarray(m.labels, dtype="|u1")
+    else:
+        magic, payload = OFFSET_MAGIC, np.ascontiguousarray(m.vectors, dtype="<f4")
+    return magic + bytes([FORMAT_VERSION]) + _HEADER.pack(m.dims.width, m.dims.height), payload
+
+
+def _write_map(path, m: SemanticMap | OffsetMap) -> None:
+    """Writes the header, then the payload's own buffer: no joined copy."""
+    head, payload = _map_parts(m)
+    with open(path, "wb") as f:
+        f.write(head)
+        f.write(payload)
+
+
 def semantic_to_bytes(sm: SemanticMap) -> bytes:
-    head = SEMANTIC_MAGIC + bytes([FORMAT_VERSION]) + _HEADER.pack(sm.dims.width, sm.dims.height)
-    return head + sm.labels.astype("|u1").tobytes()
+    return b"".join(_map_parts(sm))
 
 
 def semantic_from_bytes(data: bytes, path="<memory>") -> SemanticMap:
@@ -103,8 +120,7 @@ def semantic_from_bytes(data: bytes, path="<memory>") -> SemanticMap:
 
 
 def offsets_to_bytes(om: OffsetMap) -> bytes:
-    head = OFFSET_MAGIC + bytes([FORMAT_VERSION]) + _HEADER.pack(om.dims.width, om.dims.height)
-    return head + om.vectors.astype("<f4").tobytes()
+    return b"".join(_map_parts(om))
 
 
 def offsets_from_bytes(data: bytes, path="<memory>") -> OffsetMap:
@@ -117,7 +133,7 @@ def offsets_from_bytes(data: bytes, path="<memory>") -> OffsetMap:
 
 
 def write_semantic(path, sm: SemanticMap) -> None:
-    Path(path).write_bytes(semantic_to_bytes(sm))
+    _write_map(path, sm)
 
 
 def read_semantic(path) -> SemanticMap:
@@ -125,7 +141,7 @@ def read_semantic(path) -> SemanticMap:
 
 
 def write_offsets(path, om: OffsetMap) -> None:
-    Path(path).write_bytes(offsets_to_bytes(om))
+    _write_map(path, om)
 
 
 def read_offsets(path) -> OffsetMap:
@@ -461,8 +477,9 @@ def _kv_load(text: str, path, kind: str, defaults: dict[str, object], required=(
     anything else as float.
 
     Keys outside ``defaults`` and missing ``required`` keys are
-    FormatErrors at byte 0; a line that is not key=value, or a value its
-    parser rejects, is one at the byte offset of its line.
+    FormatErrors at byte 0; a line that is not key=value, a key set a
+    second time, or a value its parser rejects, is one at the byte offset
+    of its line.
     """
     raw: dict[str, tuple[str, int]] = {}
     offset = 0
@@ -471,8 +488,10 @@ def _kv_load(text: str, path, kind: str, defaults: dict[str, object], required=(
         if stripped and not stripped.startswith("#"):
             if "=" not in stripped:
                 raise FormatError(path, offset, f"expected key=value, got {stripped!r}")
-            key, value = stripped.split("=", 1)
-            raw[key.strip()] = (value.strip(), offset)
+            key, value = (part.strip() for part in stripped.split("=", 1))
+            if key in raw:
+                raise FormatError(path, offset, f"repeated {kind} key: {key}")
+            raw[key] = (value, offset)
         offset += len(line.encode())
     unknown = sorted(set(raw) - set(defaults))
     if unknown:

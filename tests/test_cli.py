@@ -1,5 +1,7 @@
 """End-to-end CLI runs against temp files."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,14 @@ def test_unknown_config_key_exit_2(tmp_path):
     assert code == 2
 
 
+def test_repeated_config_key_exit_2_names_file_and_offset(tmp_path, capsys):
+    cfg_path = tmp_path / "pipe.cfg"
+    cfg_path.write_text("eps=1\nmin_pts=9\neps=3\n")
+    segment = ["segment", str(tmp_path / "a.ccsm"), str(tmp_path / "a.ccof"), "--out", str(tmp_path / "o.json")]
+    assert main([*segment, "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg_path}: byte 16: repeated config key: eps\n"
+
+
 @pytest.mark.parametrize("line", ["ms_max_iter=300", "shift_tol=0.001", "merge_radius=1"])
 def test_removed_config_keys_exit_2(tmp_path, capsys, line):
     cfg_path = tmp_path / "pipe.cfg"
@@ -283,6 +293,26 @@ def test_batch_names_the_failing_frame(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ccof", "a.ccsm", "b.ccof", "b.ccsm"]
 
 
+def test_batch_runs_frames_in_order_on_the_main_thread_until_one_fails(tmp_path, capsys, monkeypatch):
+    sem_dims = GridDims(16, 16)
+    for name, off_dims in (("a", sem_dims), ("b", GridDims(17, 16)), ("c", sem_dims)):
+        write_semantic(tmp_path / f"{name}.ccsm", SemanticMap(sem_dims, np.zeros(sem_dims.shape, dtype=np.uint8)))
+        write_offsets(tmp_path / f"{name}.ccof", OffsetMap(off_dims, np.zeros((*off_dims.shape, 2), dtype=np.float32)))
+    segment_frame = cli.segment_frame
+    threads = []
+
+    def recorded(semantic, offsets, cfg):
+        threads.append(threading.get_ident())
+        return segment_frame(semantic, offsets, cfg)
+
+    monkeypatch.setattr(cli, "segment_frame", recorded)
+    assert main(["segment", "--batch-dir", str(tmp_path), "--jobs", "2"]) == 2
+    assert f"{tmp_path / 'b.ccsm'}: " in capsys.readouterr().err
+    # a ran, b failed and c was never reached: --jobs starts no worker
+    assert threads == [threading.main_thread().ident] * 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ccof", "a.ccsm", "b.ccof", "b.ccsm", "c.ccof", "c.ccsm"]
+
+
 def test_batch_out_of_memory_exit_1_names_the_frame(tmp_path, capsys, monkeypatch):
     dims = GridDims(16, 16)
     for name in ("a", "b"):
@@ -291,7 +321,7 @@ def test_batch_out_of_memory_exit_1_names_the_frame(tmp_path, capsys, monkeypatc
     segment_frame = cli.segment_frame
     calls = []
 
-    def short_of_memory(semantic, offsets, cfg):  # the first frame fails, the second succeeds
+    def short_of_memory(semantic, offsets, cfg):  # the first frame fails, so the second is never reached
         calls.append(semantic)
         if len(calls) == 1:
             raise MemoryError()
@@ -300,6 +330,7 @@ def test_batch_out_of_memory_exit_1_names_the_frame(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(cli, "segment_frame", short_of_memory)
     assert main(["segment", "--batch-dir", str(tmp_path), "--jobs", "1"]) == 1
     assert capsys.readouterr().err == f"error: {tmp_path / 'a.ccsm'}: out of memory\n"
+    assert len(calls) == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ccof", "a.ccsm", "b.ccof", "b.ccsm"]
 
     def unable(semantic, offsets, cfg):  # numpy's message follows the path
@@ -476,10 +507,12 @@ SCENE_FLOAT_KEYS = (
 
 
 def test_non_finite_scene_values_exit_2_names_file(tmp_path, capsys):
+    base = dict(line.split("=") for line in SCENE.split())
     for sow in ("on", "off"):
         for key in SCENE_FLOAT_KEYS:
             for value in ("nan", "inf"):
-                scene = write_scene(tmp_path, f"sow={sow}\n{key}={value}\n")
+                scene = tmp_path / "scene.cfg"  # each key once: a repeated key is an error of its own
+                scene.write_text("".join(f"{k}={v}\n" for k, v in {**base, "sow": sow, key: value}.items()))
                 out = tmp_path / "frames"
                 assert main(["synth", str(scene), "--out-dir", str(out)]) == 2, (sow, key, value)
                 assert f"error: {scene}: byte 0: {key} must" in capsys.readouterr().err, (sow, key, value)

@@ -3,6 +3,7 @@
 import json
 import pickle
 import re
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -96,6 +97,37 @@ def test_offsets_round_trip_files(tmp_path):
     assert read_offsets(path) == om
 
 
+def test_map_writers_write_the_to_bytes_bytes(tmp_path):
+    rng = np.random.default_rng(2)
+    sm, om = random_semantic(rng, 23, 11), random_offsets(rng, 23, 11)
+    # a strided view of each map too: the writer copies it into C order
+    sm_view = SemanticMap(GridDims(11, 11), random_semantic(rng, 22, 11).labels[:, ::2])
+    om_view = OffsetMap(GridDims(11, 11), random_offsets(rng, 22, 11).vectors[:, ::2])
+    assert not sm_view.labels.flags.c_contiguous and not om_view.vectors.flags.c_contiguous
+    for write, to_bytes, m in (
+        (write_semantic, semantic_to_bytes, sm),
+        (write_semantic, semantic_to_bytes, sm_view),
+        (write_offsets, offsets_to_bytes, om),
+        (write_offsets, offsets_to_bytes, om_view),
+    ):
+        path = tmp_path / "m.bin"
+        write(path, m)
+        assert path.read_bytes() == to_bytes(m)
+
+
+def test_write_offsets_holds_no_copy_of_the_map(tmp_path):
+    dims = GridDims(1280, 720)
+    om = OffsetMap(dims, np.random.default_rng(3).normal(0, 10, size=(*dims.shape, 2)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        write_offsets(tmp_path / "m.ccof", om)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "m.ccof").stat().st_size == 13 + om.vectors.nbytes
+    assert peak < 2**20, f"tracemalloc peak {peak / 2**20:.2f} MB for a {om.vectors.nbytes / 2**20:.2f} MB map"
+
+
 def test_bad_magic_offset_zero():
     with pytest.raises(FormatError) as err:
         semantic_from_bytes(b"XXSM" + bytes(20), path="bad.ccsm")
@@ -104,7 +136,7 @@ def test_bad_magic_offset_zero():
 
 
 def test_format_error_survives_pickling():
-    # a worker process hands its exception back to the parent pickled
+    # an exception crosses a process boundary pickled
     err = FormatError(Path("x.ccsm"), 3, "truncated payload")
     back = pickle.loads(pickle.dumps(err))
     assert type(back) is FormatError
@@ -598,6 +630,12 @@ def test_config_unknown_key_rejected():
         config_loads("eps=2.5\nepz=3\n")
 
 
+def test_config_repeated_key_rejected_at_its_second_line():
+    with pytest.raises(FormatError, match="repeated config key: eps") as err:
+        config_loads("eps=1\nmin_pts=9\n eps =3\n")
+    assert err.value.offset == len("eps=1\nmin_pts=9\n")
+
+
 def test_config_invalid_value_rejected():
     with pytest.raises(FormatError):
         config_loads("eps=-1\n")
@@ -622,6 +660,15 @@ def test_scene_spec_parsing():
         scene_spec_loads("width=10\nheight=10\nn_piglets=1\npigs=4\n")
     with pytest.raises(FormatError, match="missing scene key"):
         scene_spec_loads("width=10\nheight=10\n")
+
+
+def test_scene_file_repeated_key_rejected_at_its_second_line(tmp_path):
+    path = tmp_path / "scene.cfg"
+    path.write_text("width=10\nheight=10\nn_piglets=1\n# more\nn_piglets=2\n")
+    with pytest.raises(FormatError, match="repeated scene key: n_piglets") as err:
+        read_scene_spec(path)
+    assert err.value.offset == len("width=10\nheight=10\nn_piglets=1\n# more\n")
+    assert err.value.path == str(path)
 
 
 def test_scene_file_sets_every_documented_key():

@@ -117,14 +117,13 @@ def _run(argv):
     return out.getvalue()
 
 
-def golden_digests(root: Path, jobs: str = "1") -> dict[str, str]:
-    """SHA-256 of every ``track`` output file and of the ``eval`` stdout,
-    segmenting the frames on ``jobs`` worker threads."""
+def golden_digests(root: Path) -> dict[str, str]:
+    """SHA-256 of every ``track`` output file and of the ``eval`` stdout."""
     scene = root / "scene.cfg"
     scene.write_text(SCENE)
     frames = root / "frames"
     _run(["synth", str(scene), "--out-dir", str(frames), "--frames", "8"])
-    _run(["segment", "--batch-dir", str(frames), "--min-pts", "25", "--jobs", jobs])
+    _run(["segment", "--batch-dir", str(frames), "--min-pts", "25"])
     preds = sorted(str(p) for p in frames.glob("frame_*.json"))
     gts = sorted(str(p) for p in frames.glob("gt_*.json"))
     shown = _run(["eval", "--pred", *preds, "--gt", *gts])
@@ -177,10 +176,6 @@ def test_fullres_outputs_match_golden(tmp_path):
 
 def test_track_and_eval_outputs_match_golden(tmp_path):
     assert golden_digests(tmp_path) == GOLDEN
-
-
-def test_thread_pool_outputs_match_golden(tmp_path):
-    assert golden_digests(tmp_path, jobs="2") == GOLDEN
 
 
 if __name__ == "__main__":
