@@ -3,6 +3,8 @@
 Subcommands: segment, track, eval, gradcheck, synth. Exit codes: 0
 success, 1 runtime failure (running out of memory too), 2 malformed
 input or bad arguments (argparse's rejections too; ``--help`` exits 0).
+A path that does not exist, such as a missing input file, is a bad
+argument.
 Each command has flags for only the pipeline config keys it reads; its
 ``--config`` file may set any key.
 ``segment --batch-dir`` segments its frames one after another in name
@@ -31,7 +33,7 @@ from .evaluation import map_eval
 from .grids import DimensionMismatch
 from .instances import FrameResult, segment_frame
 from .losses import run_gradient_checks
-from .synth import SceneGenerationError, gen_sequence, gt_instances, perturb
+from .synth import SceneGenerationError, gt_instances, iter_sequence, perturb
 from .tracking import TrackState, track_metrics, update_tracks
 
 
@@ -245,7 +247,7 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
 def _cmd_synth(args: argparse.Namespace) -> int:
     spec = formats.read_scene_spec(args.scene)
     try:
-        frames = gen_sequence(spec, args.frames)
+        frames = iter_sequence(spec, args.frames)  # made and written one at a time
     except SceneGenerationError as exc:
         raise SceneGenerationError(f"{args.scene}: {exc}") from exc
     out = args.out_dir
@@ -259,7 +261,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         formats.write_manifest(
             out / f"gt_{frame.index:04d}.json", frame.index, frame.dims, gt_instances(frame)
         )
-    print(f"wrote {len(frames)} frames to {out}")
+    print(f"wrote {args.frames} frames to {out}")
     return 0
 
 
@@ -317,6 +319,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (formats.FormatError, DimensionMismatch, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except FileNotFoundError as exc:
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except (ValueError, OSError, MemoryError, SceneGenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,17 +19,36 @@ DBSCAN contract, shared by :func:`dbscan` and the independent
 Gan & Tao (SIGMOD 2015, "DBSCAN Revisited") and de Berg, Gunawan &
 Roeloffzen (ISAAC 2017). Points are sorted into square cells of side
 just under eps/sqrt(2), so every neighbor of a point lies in the 5x5
-block of cells around its own. Count: a cell of at least ``min_pts``
-points whose bounding box fits in the ball is all core; other points
-add or skip whole neighbor cells by bounding-box bounds. A point still
-undecided splits each partly covered cell into its 2x2 sub-cells of
-half the side and adds or skips those by their own boxes; it tests
-single pairs only against sub-cells still partly covered, and only if
-it is still undecided. Connect: union-find joins core cells that hold
-a core pair within ``eps``; border points then take the lowest cluster
-among their core neighbors. Float rounding is monotone, so every
-bounding-box shortcut agrees with the per-pair float test, whatever the
-boxes; where a bound cannot decide, the pairs are tested.
+block of cells around its own, and every two points of one cell are
+within ``eps`` of each other (the cell margin below). Count: a cell of
+at least ``min_pts`` points is all core; other points add or skip whole
+neighbor cells by bounding-box bounds. A point still undecided splits
+each partly covered cell into its 2x2 sub-cells of half the side and
+adds or skips those by their own boxes; it tests single pairs only
+against sub-cells still partly covered, and only if it is still
+undecided. Connect: the cores of a cell form one set, and union-find
+joins core cells that hold a core pair within ``eps``; border points
+then take the lowest cluster among their core neighbors. Float rounding
+is monotone, so every bounding-box shortcut agrees with the per-pair
+float test, whatever the boxes; where a bound cannot decide, the pairs
+are tested.
+
+The cell margin, with u = 2**-53: the side ``eps / sqrt(2) * _SHRINK``
+is rounded three times, so it is at most ``eps / sqrt(2) * _SHRINK *
+(1 + 3.01u)``. A cell coordinate is rounded twice: ``v - min`` in half
+sides, at most 2**31, is off by under 2**-20 half sides; on the wide
+path of :func:`_axis_cells`, ``v`` less its run's origin in sides, at
+most 2**30, by under 2**-21 sides. Two points of one cell are then
+under ``side * (1 + 2**-20)`` apart along each axis. The pair test
+rounds the two differences, the two squares and the sum, each by at
+most u of its value, and a square that underflows by at most 2**-1075,
+no more than ``u * eps*eps`` as that is a normal float. So the test's
+value is at most ``eps*eps * (_SHRINK**2 * (1 + 2**-18) + 4u)``, which
+lies below the float ``eps*eps`` for ``_SHRINK = 1 - 2**-19``, though
+not for ``1 - 2**-20``. On the wide path a coordinate stops at its cap of
+2**30 only in a run spanning 2**30 cells, each vote within ``2*eps`` of
+the next: over 2**28 votes. Run origins are sums of at most 7 cells a
+vote, exact in float64, so two runs never share a cell.
 
 Before the grid is built, a screen leaves out votes that are noise for
 certain. The finite votes are counted in one dense histogram of square
@@ -122,8 +141,9 @@ def _as_points(points) -> np.ndarray:
 
 # Cells have side just under r/sqrt(2), so a ball of radius r around a
 # point reaches at most two cells away along each axis: 5x5 neighbor cells.
+# _SHRINK leaves the margin that keeps every cell within r (module docstring).
 _REACH = 2
-_SHRINK = 1.0 - 1e-9
+_SHRINK = 1.0 - 2.0**-19
 _STEPS = np.arange(-_REACH, _REACH + 1)
 # a neighbor-table row lists offsets (dx, dy) with dx major; the twelve
 # after (0, 0) visit every pair of distinct neighbor cells once
@@ -270,8 +290,10 @@ class GridIndex:
     positions back to indices. Cells and sub-cells each have a start, a
     count and a bounding box; ``sub_first`` and ``sub_count`` give each
     cell's run of sub-cells, and ``neighbors`` lists a cell's 25 neighbor
-    cells. A point with a non-finite coordinate is within ``radius`` of
-    no point, itself included, and is left out.
+    cells. Every two points of one cell are within ``radius`` of each
+    other (see the module docstring). A point with a non-finite
+    coordinate is within ``radius`` of no point, itself included, and is
+    left out.
     """
 
     def __init__(self, points, radius: float):
@@ -323,10 +345,6 @@ class GridIndex:
         """Row per cell of its 25 neighbor cells, itself included, -1 where empty."""
         return self._cell_at(self.cell_keys[cells][:, None] + self._steps)
 
-    def tight(self, box: np.ndarray) -> np.ndarray:
-        """Whether every pair of points inside each box is within the radius."""
-        return _bounds(box, box)[1] <= self.r2
-
     def rows(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(k, cell)``: sorted position ``q[k]`` against each of its neighbor cells."""
         nbr = self.neighbors(self.cell_of[q])
@@ -352,17 +370,16 @@ class GridIndex:
         only until it decides ``count >= at_least``, which the result then
         answers exactly.
 
-        A cell of at least ``at_least`` points whose box fits in the ball
-        needs no work. Other points add or skip whole neighbor cells by
-        bounding-box bounds. Points still undecided split each partly
-        covered cell into its sub-cells and add or skip those by their
-        own boxes; single pairs are tested only for points undecided
-        after that, against partly covered sub-cells.
+        A cell of at least ``at_least`` points needs no work, as its
+        points are within the radius of each other. Other points add or
+        skip whole neighbor cells by bounding-box bounds. Points still
+        undecided split each partly covered cell into its sub-cells and
+        add or skip those by their own boxes; single pairs are tested
+        only for points undecided after that, against partly covered
+        sub-cells.
         """
         out = self.counts[self.cell_of]
-        dense = self.counts >= at_least
-        dense[dense] = self.tight(self.box[:, dense])
-        todo = np.flatnonzero(~dense[self.cell_of])
+        todo = np.flatnonzero(out < at_least)
 
         def undecided(low, high):
             return (low < at_least) & (high >= at_least)
@@ -418,52 +435,47 @@ class _CoreCells:
         self.first = np.cumsum(self.size) - self.size
         self.own = np.repeat(np.arange(self.cells.size), self.size)
         self.box = _boxes(self.x, self.y, self.first)
-        self.tight = index.tight(self.box)
 
 
 def _connect(index: GridIndex, cores: _CoreCells) -> np.ndarray:
-    """Union-find root of each core point: the lowest core index of its cluster.
+    """Root of each core point: the lowest core index of its cluster.
 
-    The cores of a cell whose core box fits in the ball start as one
-    set, and a pair of such neighbor cells is joined by one probe pair.
-    The pairs still split, and every pair with a cell whose box does not
-    fit, are tested pair by pair, checking between blocks which pairs
-    are still split.
+    The cores of a cell are within ``eps`` of each other, so union-find
+    runs over core cells: one node per cell, O(core cells) memory. A
+    pair of neighbor cells is joined by a probe of their first cores;
+    the pairs still split are tested pair by pair, checking between
+    blocks which pairs are still split.
     """
     r2 = index.r2
-    parent = np.arange(len(index))
-    rep = np.minimum.reduceat(cores.ids, cores.first)  # the lowest core index of each cell
-    joined = cores.tight[cores.own]
-    parent[cores.ids[joined]] = rep[cores.own[joined]]
-
+    parent = np.arange(cores.cells.size)
     a = np.repeat(np.arange(cores.cells.size), _FORWARD.size)
     b = cores.slot[index.neighbors(cores.cells)[:, _FORWARD]].ravel()
-    loose = np.flatnonzero(~cores.tight)
-    a, b = np.r_[a[b >= 0], loose], np.r_[b[b >= 0], loose]
-    both = cores.tight[a] & cores.tight[b]
+    a, b = a[b >= 0], b[b >= 0]
 
-    # probe each cell pair with each cell's first core; this also joins
-    # every pair whose boxes lie wholly within the ball
+    # probe each pair of neighbor core cells with their first cores
     x, y, first = cores.x, cores.y, cores.first
     with np.errstate(over="ignore"):
         dx, dy = x[first[b]] - x[first[a]], y[first[b]] - y[first[a]]
-        hit = both & (dx * dx + dy * dy <= r2)
-    _union(parent, rep[a[hit]], rep[b[hit]])
-    a, b, both = a[~hit], b[~hit], both[~hit]
+        hit = dx * dx + dy * dy <= r2
+    _union(parent, a[hit], b[hit])
+    a, b = a[~hit], b[~hit]
 
     while a.size:
         # a few blocks of pair work at a time, dropping pairs joined meanwhile
-        split = ~both | (parent[rep[a]] != parent[rep[b]])
-        a, b, both = a[split], b[split], both[split]
+        split = parent[a] != parent[b]
+        a, b = a[split], b[split]
         take = max(1, int(np.searchsorted(np.cumsum(cores.size[a] * cores.size[b]), 4 * _PAIR_BLOCK)))
         k, q = _ragged(first[a[:take]], cores.size[a[:take]])
         cell = b[:take][k]
         near = _bounds(_point_boxes(x[q], y[q]), cores.box.take(cell, axis=1))[0] <= r2
         q, cell = q[near], cell[near]
-        for i, j, hit in _pair_tests(x[q], y[q], first[cell], cores.size[cell], x, y, r2):
-            _union(parent, cores.ids[q[i[hit]]], cores.ids[j[hit]])
-        a, b, both = a[take:], b[take:], both[take:]
-    return parent[cores.ids]
+        for i, _, hit in _pair_tests(x[q], y[q], first[cell], cores.size[cell], x, y, r2):
+            _union(parent, cores.own[q[i[hit]]], cell[i[hit]])
+        a, b = a[take:], b[take:]
+    # number each set by the lowest core index among its cells
+    low = np.full(cores.cells.size, len(index))
+    np.minimum.at(low, parent, np.minimum.reduceat(cores.ids, first))
+    return low[parent][cores.own]
 
 
 def _border(index: GridIndex, core: np.ndarray, cores: _CoreCells, root: np.ndarray):
@@ -530,8 +542,9 @@ def dbscan(points, eps: float, min_pts: int) -> ClusterLabels:
     lowest-numbered cluster with a core within ``eps`` of it; every other
     point keeps label 0. The output is bit-identical to
     :func:`dbscan_naive`, and memory grows with the number of points, not
-    with the sizes of their neighborhoods. Only the votes the coarse
-    screen keeps (:func:`_crowded`) are indexed; the rest are noise.
+    with the sizes of their neighborhoods; the union-find holds one node
+    per core cell. Only the votes the coarse screen keeps
+    (:func:`_crowded`) are indexed; the rest are noise.
     """
     eps = _radius(eps, "eps")
     if min_pts < 1:

@@ -19,6 +19,7 @@ give byte-identical frames.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -407,16 +408,25 @@ def gen_frame(spec: SceneSpec, frame_index: int = 0) -> SyntheticFrame:
     return _rasterize(spec, layout, frame_index)
 
 
-def gen_sequence(spec: SceneSpec, n_frames: int) -> list[SyntheticFrame]:
-    """Frames 0..n_frames-1 with stable ground-truth identities."""
+def iter_sequence(spec: SceneSpec, n_frames: int) -> Iterator[SyntheticFrame]:
+    """Frames 0..n_frames-1 with stable ground-truth identities, each made
+    only when it is asked for. The scene is placed on the call, so an
+    unplaceable one raises SceneGenerationError before any frame exists."""
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
     layout = _sample_layout(spec)
-    frames = []
-    for t in range(n_frames):
-        frames.append(_rasterize(spec, layout, t))
-        _advance(layout, spec.dims, 1)
-    return frames
+
+    def frames():
+        for t in range(n_frames):
+            yield _rasterize(spec, layout, t)
+            _advance(layout, spec.dims, 1)
+
+    return frames()
+
+
+def gen_sequence(spec: SceneSpec, n_frames: int) -> list[SyntheticFrame]:
+    """Frames 0..n_frames-1 with stable ground-truth identities."""
+    return list(iter_sequence(spec, n_frames))
 
 
 def perturb(frame: SyntheticFrame, noise: NoiseModel, seed: int) -> tuple[SemanticMap, OffsetMap]:

@@ -1,6 +1,7 @@
 """End-to-end CLI runs against temp files."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,6 +349,49 @@ def test_unplaceable_scene_exit_1_names_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {scene}: ")
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()  # the scene is placed before any frame is written
+
+
+def test_synth_memory_does_not_grow_with_frames(tmp_path, capsys):
+    # each frame is written before the next is made: 12 frames peak like 2
+    scene = tmp_path / "scene.cfg"
+    scene.write_text("width=320\nheight=240\nn_piglets=5\nseed=3\nsow=off\nmax_speed=2\noffset_sigma=1\n")
+    assert main(["synth", str(scene), "--out-dir", str(tmp_path / "warm"), "--frames", "2"]) == 0
+    peaks = {}
+    for frames in (2, 12):
+        tracemalloc.start()
+        try:
+            assert main(["synth", str(scene), "--out-dir", str(tmp_path / str(frames)), "--frames", str(frames)]) == 0
+            peaks[frames] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(list((tmp_path / "12").glob("frame_*.ccof"))) == 12
+    assert peaks[12] < 1.2 * peaks[2], peaks
+
+
+def test_missing_input_file_exit_2_names_it(tmp_path, capsys):
+    # a missing input is a bad argument, like a missing manifest to track
+    dims = GridDims(16, 16)
+    sem, off = tmp_path / "a.ccsm", tmp_path / "a.ccof"
+    write_semantic(sem, SemanticMap(dims, np.zeros(dims.shape, dtype=np.uint8)))
+    write_offsets(off, OffsetMap(dims, np.zeros((*dims.shape, 2), dtype=np.float32)))
+    good = tmp_path / "good.json"
+    good.write_text('{"frame":0,"height":3,"instances":[],"width":3}\n')
+    missing, out = tmp_path / "missing", tmp_path / "out"
+    for argv in (
+        ["eval", "--pred", missing, "--gt", good],
+        ["eval", "--pred", good, "--gt", missing],
+        ["segment", missing, off, "--out", out],
+        ["segment", sem, missing, "--out", out],
+        ["segment", sem, off, "--out", out, "--config", missing],
+        ["track", good, "--out-dir", out, "--config", missing],
+        ["synth", missing, "--out-dir", out],
+    ):
+        assert main([str(a) for a in argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {missing}: "), argv
+        assert "Traceback" not in captured.err and "mAP" not in captured.out, argv
+    assert not out.exists()
 
 
 def test_nan_config_values_fail_before_any_frame_is_read(tmp_path, capsys):

@@ -301,11 +301,13 @@ LATTICE_EPS = [1.0, float(np.sqrt(2.0)), 2.0, 2.5]
 
 
 def check_contract(pts, eps, min_pts, pair_block=None, query_block=None, shrink=None):
-    """dbscan against the contract and the oracle, optionally with small blocks or wide cells.
+    """dbscan against the contract and the oracle, optionally with small blocks or narrow cells.
 
     Small pair and query blocks make every cloud span several blocks.
-    Cells wider than eps/sqrt(2) hold pairs beyond eps, so the exact
-    fallbacks behind every cell shortcut run too.
+    Narrower cells (side ``0.75 * eps/sqrt(2)``, at least eps/2, so the
+    5x5 block still reaches every neighbor) cut the same cloud along
+    other boundaries, so the cell shortcuts and the pair tests behind
+    them meet other cases.
     """
     with (
         mock.patch.object(clustering, "_PAIR_BLOCK", pair_block or clustering._PAIR_BLOCK),
@@ -325,14 +327,14 @@ def check_contract(pts, eps, min_pts, pair_block=None, query_block=None, shrink=
     eps=st.sampled_from(LATTICE_EPS),
     min_pts=st.integers(1, 14),
     blocks=st.sampled_from([(7, 5), (64, 16), (None, None)]),
-    shrink=st.sampled_from([None, 1.6]),
+    shrink=st.sampled_from([None, 0.75]),
 )
 def test_dbscan_contract(pts, eps, min_pts, blocks, shrink):
     check_contract(pts, eps, min_pts, *blocks, shrink)
 
 
-def test_dbscan_contract_wide_cells():
-    # sparse lattices in cells wider than eps/sqrt(2): cores sharing a cell need not connect
+def test_dbscan_contract_narrow_cells():
+    # sparse lattices in cells narrower than eps/sqrt(2): a ball reaches further across the 5x5 block
     rng = np.random.default_rng(77)
     for _ in range(300):
         extent = int(rng.integers(1, 30))
@@ -342,7 +344,7 @@ def test_dbscan_contract_wide_cells():
         else:
             pts = rng.integers(0, extent + 1, (n, 2)) * rng.choice([1.0, 0.5])
         eps = float(rng.choice(LATTICE_EPS))
-        check_contract(pts, eps, int(rng.integers(1, 15)), 64, 16, shrink=1.6)
+        check_contract(pts, eps, int(rng.integers(1, 15)), 64, 16, shrink=0.75)
 
 
 def test_dbscan_contract_large_lattice():
@@ -716,3 +718,46 @@ def test_dbscan_matches_naive_on_a_full_scale_frame(tmp_path):
     labels = dbscan(votes, 2.5, 50)
     assert labels.n_groups >= 10
     assert labels == dbscan_naive(votes, 2.5, 50)
+
+
+# --- cells within the radius by construction --------------------------------
+
+
+def boundary_cloud(rng, r):
+    """Votes on the floats around cell boundaries, up to about 2**29 cells
+    from the lowest: each of 30 random cells gets a 14x14 patch of votes
+    within 3 ulps of its lower and upper edges on both axes, so a cell
+    wider than the rounding allows holds two votes at opposite corners."""
+    side = r / np.sqrt(2.0) * clustering._SHRINK
+    ks = np.r_[0, 1, 2, rng.integers(3, 2**29, 27)]
+    steps = np.arange(-3, 4)
+
+    def edges(k):
+        at = side * np.array([k, k + 1.0])
+        return np.maximum(at[:, None] + steps * np.spacing(at)[:, None], 0.0).ravel()
+
+    patches = []
+    for kx, ky in zip(ks, rng.permutation(ks)):
+        gx, gy = np.meshgrid(edges(kx), edges(ky))
+        patches.append(np.stack([gx.ravel(), gy.ravel()], 1))
+    return np.vstack(patches)
+
+
+def assert_cells_within(pts, r):
+    index = GridIndex(pts, r)
+    assert np.all(clustering._bounds(index.box, index.box)[1] <= index.r2)
+    cores = clustering._CoreCells(index, index.counts_within(2) >= 2)
+    assert np.all(clustering._bounds(cores.box, cores.box)[1] <= index.r2)
+
+
+@pytest.mark.parametrize("r", [R_MIN, 1e-3, 1.0, 2.5, 20.0, 1e6, R_MAX], ids=repr)
+def test_every_cell_lies_within_the_radius(r):
+    # the invariant that lets a dense cell be all core and a cell's cores one union-find node
+    rng = np.random.default_rng(22)
+    edges = boundary_cloud(rng, r)
+    blobs = random_cloud(rng, 2000) * (r / 2.5)
+    far = np.array([[3e38, 3e38]] * 5 + [[-3e38, 1.0]] * 3 + [[2.0, -3e38], [3e38, -3e38]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pts in (edges, np.vstack([edges, blobs]), np.vstack([blobs, far]), np.vstack([edges, far])):
+            assert_cells_within(pts, r)
