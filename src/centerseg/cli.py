@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -265,7 +266,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: ``parse_args``
+    keeps no state in it, so each call parses on its own."""
     parser = argparse.ArgumentParser(
         prog="centerseg",
         description="Center-vote clustering instance segmentation tools",

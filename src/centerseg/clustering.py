@@ -20,18 +20,20 @@ Gan & Tao (SIGMOD 2015, "DBSCAN Revisited") and de Berg, Gunawan &
 Roeloffzen (ISAAC 2017). Points are sorted into square cells of side
 just under eps/sqrt(2), so every neighbor of a point lies in the 5x5
 block of cells around its own, and every two points of one cell are
-within ``eps`` of each other (the cell margin below). Count: a cell of
-at least ``min_pts`` points is all core; other points add or skip whole
+within ``eps`` of each other (the cell margin below). Each cell splits
+into 2x2 sub-cells of half the side, and the 3x3 block of sub-cells
+around a point's own is within ``eps`` of it too. Count: a cell of at
+least ``min_pts`` points is all core, and so is a point whose 3x3
+sub-cell block holds that many; other points add or skip whole
 neighbor cells by bounding-box bounds. A point still undecided splits
-each partly covered cell into its 2x2 sub-cells of half the side and
-adds or skips those by their own boxes; it tests single pairs only
-against sub-cells still partly covered, and only if it is still
-undecided. Connect: the cores of a cell form one set, and union-find
-joins core cells that hold a core pair within ``eps``; border points
-then take the lowest cluster among their core neighbors. Float rounding
-is monotone, so every bounding-box shortcut agrees with the per-pair
-float test, whatever the boxes; where a bound cannot decide, the pairs
-are tested.
+each partly covered cell into its sub-cells and adds or skips those by
+their own boxes; it tests single pairs only against sub-cells still
+partly covered, and only if it is still undecided. Connect: the cores
+of a cell form one set, and union-find joins core cells that hold a
+core pair within ``eps``; border points then take the lowest cluster
+among their core neighbors. Float rounding is monotone, so every
+bounding-box shortcut agrees with the per-pair float test, whatever the
+boxes; where a bound cannot decide, the pairs are tested.
 
 The cell margin, with u = 2**-53: the side ``eps / sqrt(2) * _SHRINK``
 is rounded three times, so it is at most ``eps / sqrt(2) * _SHRINK *
@@ -39,9 +41,16 @@ is rounded three times, so it is at most ``eps / sqrt(2) * _SHRINK *
 sides, at most 2**31, is off by under 2**-20 half sides; on the wide
 path of :func:`_axis_cells`, ``v`` less its run's origin in sides, at
 most 2**30, by under 2**-21 sides. Two points of one cell are then
-under ``side * (1 + 2**-20)`` apart along each axis. The pair test
-rounds the two differences, the two squares and the sum, each by at
-most u of its value, and a square that underflows by at most 2**-1075,
+under ``side * (1 + 2**-20)`` apart along each axis. So are two points
+whose sub-cell coordinates differ by at most one along each axis, as
+those of one cell do: their rounded coordinates in half sides then lie
+in some ``[a, a + 2)``, under one side apart, and the true ones under
+``side * (1 + 2**-20)``. That bounds the 3x3 block of sub-cells around
+a point's own. On the wide path a cell is one sub-cell, whose
+coordinate is twice the cell's, so along that axis the block reaches
+no further than the point's own cell. The pair test rounds the two
+differences, the two squares and the sum, each by at most u of its
+value, and a square that underflows by at most 2**-1075,
 no more than ``u * eps*eps`` as that is a normal float. So the test's
 value is at most ``eps*eps * (_SHRINK**2 * (1 + 2**-18) + 4u)``, which
 lies below the float ``eps*eps`` for ``_SHRINK = 1 - 2**-19``, though
@@ -145,6 +154,9 @@ def _as_points(points) -> np.ndarray:
 _REACH = 2
 _SHRINK = 1.0 - 2.0**-19
 _STEPS = np.arange(-_REACH, _REACH + 1)
+# a point's 3x3 block of sub-cells, its own in the middle, lies within r
+# of it (module docstring), so counts_within settles points by it first
+_SUB_STEPS = np.arange(-1, 2)
 # a neighbor-table row lists offsets (dx, dy) with dx major; the twelve
 # after (0, 0) visit every pair of distinct neighbor cells once
 _FORWARD = np.arange(_STEPS.size**2 // 2 + 1, _STEPS.size**2)
@@ -289,11 +301,14 @@ class GridIndex:
     ``y``), in no set order within a sub-cell, and ``order`` maps sorted
     positions back to indices. Cells and sub-cells each have a start, a
     count and a bounding box; ``sub_first`` and ``sub_count`` give each
-    cell's run of sub-cells, and ``neighbors`` lists a cell's 25 neighbor
-    cells. Every two points of one cell are within ``radius`` of each
-    other (see the module docstring). A point with a non-finite
-    coordinate is within ``radius`` of no point, itself included, and is
-    left out.
+    cell's run of sub-cells, and ``sub_keys`` each sub-cell's sorted key,
+    its cell's key times 4 plus its parity bits along x and y.
+    ``neighbors`` lists a cell's 25 neighbor cells and ``sub_blocks`` a
+    sub-cell's 3x3 block of sub-cells. Every two points of one cell are
+    within ``radius`` of each other, and so is every point of a sub-cell
+    with every point of its block (see the module docstring). A point
+    with a non-finite coordinate is within ``radius`` of no point, itself
+    included, and is left out.
     """
 
     def __init__(self, points, radius: float):
@@ -317,13 +332,14 @@ class GridIndex:
         self.y = pts[self.order, 1]
         self.sub_starts, self.sub_counts = _runs(fine)
         self.sub_box = _boxes(self.x, self.y, self.sub_starts)
-        sub_keys = fine[self.sub_starts] >> 2
-        self.sub_first, self.sub_count = _runs(sub_keys)
-        self.cell_keys = sub_keys[self.sub_first]
+        self.sub_keys = fine[self.sub_starts]
+        self.sub_first, self.sub_count = _runs(self.sub_keys >> 2)
+        self.cell_keys = self.sub_keys[self.sub_first] >> 2
         self.starts = self.sub_starts[self.sub_first]
         self.counts = np.diff(np.r_[self.starts, fine.size])
         self.cell_of = np.repeat(np.arange(self.starts.size), self.counts)
         self.box = _boxes(self.x, self.y, self.starts)
+        self._span = span
         self._steps = (_STEPS[:, None] * span + _STEPS[None, :]).ravel()
         space = (int(fx.max(initial=0) >> 1) + 2 * _REACH + 1) * span
         self._table = None
@@ -344,6 +360,25 @@ class GridIndex:
     def neighbors(self, cells: np.ndarray) -> np.ndarray:
         """Row per cell of its 25 neighbor cells, itself included, -1 where empty."""
         return self._cell_at(self.cell_keys[cells][:, None] + self._steps)
+
+    def sub_blocks(self, subs: np.ndarray) -> np.ndarray:
+        """Row per sub-cell ``subs`` of the sub-cells in its 3x3 block, itself
+        included, -1 where empty.
+
+        A sub-cell's key is its cell's key times 4 plus its parity bits
+        along x and y, so a step along an axis adds the bit to the step:
+        the sum's ``>> 1`` moves the cell and its ``& 1`` is the new bit.
+        """
+        n = self.sub_first.size
+        # the sub-cell at 4 * cell + parity bits, -1 where empty; cell -1 reads the last four
+        at = np.full(4 * n + 4, -1)
+        at[4 * np.repeat(np.arange(n), self.sub_count) + (self.sub_keys & 3)] = np.arange(self.sub_keys.size)
+        key = self.sub_keys[subs]
+        sx = (key >> 1 & 1)[:, None] + _SUB_STEPS
+        sy = (key & 1)[:, None] + _SUB_STEPS
+        cells = self._cell_at(((key >> 2)[:, None] + (sx >> 1) * self._span)[:, :, None] + (sy >> 1)[:, None, :])
+        bits = ((sx & 1) * 2)[:, :, None] + (sy & 1)[:, None, :]
+        return at[cells * 4 + bits].reshape(key.size, _SUB_STEPS.size**2)
 
     def rows(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(k, cell)``: sorted position ``q[k]`` against each of its neighbor cells."""
@@ -371,15 +406,24 @@ class GridIndex:
         answers exactly.
 
         A cell of at least ``at_least`` points needs no work, as its
-        points are within the radius of each other. Other points add or
-        skip whole neighbor cells by bounding-box bounds. Points still
-        undecided split each partly covered cell into its sub-cells and
-        add or skip those by their own boxes; single pairs are tested
-        only for points undecided after that, against partly covered
-        sub-cells.
+        points are within the radius of each other. The sub-cells of the
+        other cells are counted next, each once, with the points of its
+        3x3 block of sub-cells, which lie within the radius of each of
+        its points; a point whose block holds ``at_least`` gets that
+        count. Only the points left add or skip whole neighbor cells by
+        bounding-box bounds. Points still undecided split each partly
+        covered cell into its sub-cells and add or skip those by their
+        own boxes; single pairs are tested only for points undecided
+        after that, against partly covered sub-cells.
         """
         out = self.counts[self.cell_of]
-        todo = np.flatnonzero(out < at_least)
+        small = np.flatnonzero(self.counts < at_least)
+        _, subs = _ragged(self.sub_first[small], self.sub_count[small])
+        near = self.sub_blocks(subs)
+        block = np.where(near >= 0, self.sub_counts[near], 0).sum(axis=1)
+        k, todo = _ragged(self.sub_starts[subs], self.sub_counts[subs])
+        out[todo] = block[k]
+        todo = todo[out[todo] < at_least]
 
         def undecided(low, high):
             return (low < at_least) & (high >= at_least)

@@ -72,27 +72,30 @@ def _iou_matrix(rows: list[BinaryMask], cols: list[BinaryMask], iou) -> np.ndarr
     return table
 
 
-def _greedy_match(iou: np.ndarray, scores: np.ndarray, iou_thresh: float):
-    """Greedy score-ordered matching given a detection x gt IoU matrix.
+def _greedy_match(iou: np.ndarray, scores: np.ndarray, thresholds: np.ndarray):
+    """Greedy score-ordered matching at every IoU threshold in one pass,
+    given a detection x gt IoU matrix.
 
-    Returns (scores_ranked, tp_flags), both in rank order. Score ties
-    keep the original detection order; IoU ties go to the lowest
-    ground-truth index; a zero-IoU pair never matches.
+    Returns (scores_ranked, tp_flags): the scores in rank order and, per
+    threshold, the true-positive flag of each rank. Score ties keep the
+    original detection order; at each threshold a detection takes the
+    ground truth of highest IoU not yet taken at that threshold, IoU ties
+    going to the lowest ground-truth index, and a match needs IoU above
+    0 and at or above the threshold.
     """
-    order = sorted(range(len(scores)), key=lambda i: -scores[i])
-    n_gt = iou.shape[1]
-    taken = np.zeros(n_gt, dtype=bool)
-    ranked = np.empty(len(scores))
-    tp = np.zeros(len(scores), dtype=bool)
-    for rank, di in enumerate(order):
-        ranked[rank] = scores[di]
-        if n_gt:
+    order = np.argsort(-scores, kind="stable")
+    tp = np.zeros((thresholds.size, order.size), dtype=bool)
+    if iou.shape[1]:
+        taken = np.zeros((thresholds.size, iou.shape[1]), dtype=bool)
+        each = np.arange(thresholds.size)
+        for rank, di in enumerate(order):
             row = np.where(taken, -1.0, iou[di])
-            gi = int(np.argmax(row))
-            if row[gi] > 0.0 and row[gi] >= iou_thresh:
-                taken[gi] = True
-                tp[rank] = True
-    return ranked, tp
+            gi = np.argmax(row, axis=1)
+            best = row[each, gi]
+            hit = (best > 0.0) & (best >= thresholds)
+            taken[each[hit], gi[hit]] = True
+            tp[:, rank] = hit
+    return scores[order], tp
 
 
 def _ap_from_pool(scores: np.ndarray, tp: np.ndarray, n_gt: int) -> float:
@@ -140,26 +143,23 @@ def map_eval(pred_frames: list[list[Instance]], gt_frames: list[list[Instance]])
         value = 1.0 if n_dets == 0 else 0.0
         return APResult({}, {}, {}, value)
 
+    thresholds = np.array(IOU_THRESHOLDS)
     per_ct: dict[tuple[str, float], float] = {}
     for cls in classes:
         cls_preds = [[d for d in frame if d.cls == cls] for frame in pred_frames]
         cls_gts = [[g.mask for g in frame if g.cls == cls] for frame in gt_frames]
         n_gt = sum(len(frame) for frame in cls_gts)
-        # one IoU matrix per frame, shared across all thresholds
-        tables = [
-            (_iou_matrix([d.mask for d in dets], gts, mask_iou), np.array([d.score for d in dets]))
+        # one IoU matrix per frame, matched at all thresholds in one pass
+        matches = [
+            _greedy_match(
+                _iou_matrix([d.mask for d in dets], gts, mask_iou), np.array([d.score for d in dets]), thresholds
+            )
             for dets, gts in zip(cls_preds, cls_gts)
         ]
-        for thr in IOU_THRESHOLDS:
-            pooled_scores = []
-            pooled_tp = []
-            for iou, scores in tables:
-                ranked, tp = _greedy_match(iou, scores, thr)
-                pooled_scores.append(ranked)
-                pooled_tp.append(tp)
-            per_ct[(cls, thr)] = _ap_from_pool(
-                np.concatenate(pooled_scores), np.concatenate(pooled_tp), n_gt
-            )
+        ranked = np.concatenate([scores for scores, _ in matches])
+        tp = np.concatenate([flags for _, flags in matches], axis=1)
+        for thr, flags in zip(IOU_THRESHOLDS, tp):
+            per_ct[(cls, thr)] = _ap_from_pool(ranked, flags, n_gt)
 
     per_threshold = {
         thr: float(np.mean([per_ct[(cls, thr)] for cls in classes])) for thr in IOU_THRESHOLDS

@@ -586,3 +586,22 @@ def test_track_failed_write_publishes_nothing_and_leaves_no_temporary_file(tmp_p
     assert main(["track", *manifests, "--out-dir", str(out)]) == 1
     assert sorted(p.name for p in out.iterdir()) == written
     assert (out / "metrics.csv").is_dir()
+
+
+def test_successive_commands_parse_independently(tmp_path, capsys):
+    # one parser serves every main call; no flag of one command reaches the next
+    assert cli.build_parser() is cli.build_parser()
+    out = tmp_path / "frames"
+    assert main(["synth", str(write_scene(tmp_path)), "--out-dir", str(out), "--frames", "1"]) == 0
+    assert main(["segment", "--batch-dir", str(out), "--jobs", "0"]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert main(["segment", "--batch-dir", str(out), "--min-pts", "100000"]) == 0
+    no_piglets = (out / "frame_0000.json").read_text()
+    assert main(["eval", "--pred", str(out / "frame_0000.json"), "--gt", str(out / "gt_0000.json")]) == 0
+    assert main(["gradcheck", "--n", "0"]) == 2
+    assert main(["segment", "--batch-dir", str(out)]) == 0
+    expected = segment_frame(read_semantic(out / "frame_0000.ccsm"), read_offsets(out / "frame_0000.ccof"))
+    # the defaults, not the earlier --min-pts
+    assert (out / "frame_0000.json").read_text() == manifest_dumps(0, GridDims(128, 96), expected.instances) != no_piglets
+    args = cli.build_parser().parse_args(["segment", "--batch-dir", str(out)])
+    assert (args.command, args.rc2m, args.min_pts, args.jobs) == ("segment", None, None, None)

@@ -523,31 +523,70 @@ def pairs_tested(index, at_least):
     return pairs_tested_by(lambda: index.counts_within(at_least))
 
 
-def test_sub_cells_cut_pair_tests_on_a_full_scale_cloud():
-    # a retained-vote cloud like one full-scale frame: 14 packs of 1250 votes
-    # (offset noise sigma 1.5 px) and 15k scattered votes over 1280x720
+def full_scale_cloud():
+    """A retained-vote cloud like one full-scale frame: 14 packs of 1250
+    votes (offset noise sigma 1.5 px) and 15k scattered votes over 1280x720."""
     rng = np.random.default_rng(14)
     centers = np.stack([rng.uniform(80, 1200, 14), rng.uniform(80, 640, 14)], axis=1)
     packs = np.repeat(centers, 1250, axis=0) + rng.normal(0, 1.5, (14 * 1250, 2))
-    pts = rng.permutation(np.vstack([packs, rng.integers(0, (1280, 720), (15_000, 2))]))
+    return rng.permutation(np.vstack([packs, rng.integers(0, (1280, 720), (15_000, 2))]))
+
+
+def test_sub_cells_cut_pair_tests_on_a_full_scale_cloud():
+    pts = full_scale_cloud()
     eps, min_pts = 2.5, 50
     sub_cells, out = pairs_tested(GridIndex(pts, eps), min_pts)
-    # the same index with each cell as its only sub-cell: whole-cell bounds alone
+    # the same index with each cell as its only sub-cell, keyed as on the
+    # wide path (parity bits 0), so its block is its own cell: whole-cell bounds alone
     whole = GridIndex(pts, eps)
     whole.sub_starts, whole.sub_counts, whole.sub_box = whole.starts, whole.counts, whole.box
     whole.sub_first, whole.sub_count = np.arange(whole.counts.size), np.ones_like(whole.counts)
+    whole.sub_keys = whole.cell_keys << 2
     whole_cells, whole_out = pairs_tested(whole, min_pts)
     assert np.array_equal(out >= min_pts, whole_out >= min_pts)
     assert 0 < 5 * sub_cells <= whole_cells, (sub_cells, whole_cells)
 
 
+def screened_full_scale_index(eps, min_pts):
+    """The grid index ``dbscan`` builds for :func:`full_scale_cloud`: the
+    votes its coarse screen keeps, about 17.6k."""
+    pts = full_scale_cloud()
+    return GridIndex(pts[clustering._crowded(pts, eps, min_pts)], eps)
+
+
+def test_sub_cell_blocks_settle_most_votes_their_cell_leaves_undecided():
+    # the votes whose own cell holds fewer than min_pts: more than half have
+    # min_pts in their 3x3 sub-cell block and never reach the per-vote passes
+    eps, min_pts = 2.5, 50
+    index = screened_full_scale_index(eps, min_pts)
+    undecided = int((index.counts[index.cell_of] < min_pts).sum())
+    queried = []
+    rows = index.rows
+    with mock.patch.object(index, "rows", lambda q: (queried.append(q.size), rows(q))[1]):
+        out = index.counts_within(min_pts)
+    assert undecided > 2000 and 2 * sum(queried) <= undecided, (sum(queried), undecided)
+    # a block of the own sub-cell alone settles nothing its cell does not
+    with mock.patch.object(clustering, "_SUB_STEPS", np.zeros(1, dtype=np.int64)):
+        plain = index.counts_within(min_pts)
+    assert np.array_equal(out >= min_pts, plain >= min_pts)
+
+
+def test_count_phase_memory_on_a_full_scale_cloud():
+    # rows of 25 neighbor cells for only the votes the block leaves: about
+    # 2.3 MB traced peak, against about 6.7 MB with rows for every vote its cell leaves
+    index = screened_full_scale_index(2.5, 50)
+    tracemalloc.start()
+    try:
+        index.counts_within(50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MB"
+
+
 def test_probe_joins_the_core_cells_of_a_full_scale_cloud():
-    # the cloud of test_sub_cells_cut_pair_tests_on_a_full_scale_cloud; without
-    # the probe, _connect tests some 2.8M core pairs one by one
-    rng = np.random.default_rng(14)
-    centers = np.stack([rng.uniform(80, 1200, 14), rng.uniform(80, 640, 14)], axis=1)
-    packs = np.repeat(centers, 1250, axis=0) + rng.normal(0, 1.5, (14 * 1250, 2))
-    pts = rng.permutation(np.vstack([packs, rng.integers(0, (1280, 720), (15_000, 2))]))
+    # without the probe, _connect tests some 2.8M core pairs one by one
+    pts = full_scale_cloud()
     eps, min_pts = 2.5, 50
     index = GridIndex(pts, eps)
     cores = clustering._CoreCells(index, index.counts_within(min_pts) >= min_pts)
@@ -619,11 +658,7 @@ def test_screen_leaves_out_only_noise(cloud, min_pts):
 
 
 def test_screen_leaves_out_isolated_votes_on_a_full_scale_cloud():
-    # the cloud of test_sub_cells_cut_pair_tests_on_a_full_scale_cloud
-    rng = np.random.default_rng(14)
-    centers = np.stack([rng.uniform(80, 1200, 14), rng.uniform(80, 640, 14)], axis=1)
-    packs = np.repeat(centers, 1250, axis=0) + rng.normal(0, 1.5, (14 * 1250, 2))
-    pts = rng.permutation(np.vstack([packs, rng.integers(0, (1280, 720), (15_000, 2))]))
+    pts = full_scale_cloud()
     eps, min_pts = 2.5, 50
     kept = clustering._crowded(pts, eps, min_pts)
     out = np.ones(len(pts), dtype=bool)
@@ -723,24 +758,29 @@ def test_dbscan_matches_naive_on_a_full_scale_frame(tmp_path):
 # --- cells within the radius by construction --------------------------------
 
 
-def boundary_cloud(rng, r):
-    """Votes on the floats around cell boundaries, up to about 2**29 cells
-    from the lowest: each of 30 random cells gets a 14x14 patch of votes
-    within 3 ulps of its lower and upper edges on both axes, so a cell
-    wider than the rounding allows holds two votes at opposite corners."""
-    side = r / np.sqrt(2.0) * clustering._SHRINK
-    ks = np.r_[0, 1, 2, rng.integers(3, 2**29, 27)]
-    steps = np.arange(-3, 4)
+def edge_cloud(rng, unit, last, n_edges, ulps, patches):
+    """Votes on the floats around the edges of cells of side ``unit``, up
+    to ``last`` cells from the lowest: each of ``patches`` cells k, among
+    them 0, 1 and 2, gets a patch of votes within ``ulps`` ulps of the
+    edges ``k * unit`` to ``(k + n_edges - 1) * unit`` on both axes, so
+    votes at opposite corners sit as far apart as those cells let them."""
+    ks = np.r_[0, 1, 2, rng.integers(3, last, patches - 3)]
+    steps = np.arange(-ulps, ulps + 1)
 
     def edges(k):
-        at = side * np.array([k, k + 1.0])
+        at = unit * (k + np.arange(float(n_edges)))
         return np.maximum(at[:, None] + steps * np.spacing(at)[:, None], 0.0).ravel()
 
-    patches = []
+    cloud = []
     for kx, ky in zip(ks, rng.permutation(ks)):
         gx, gy = np.meshgrid(edges(kx), edges(ky))
-        patches.append(np.stack([gx.ravel(), gy.ravel()], 1))
-    return np.vstack(patches)
+        cloud.append(np.stack([gx.ravel(), gy.ravel()], 1))
+    return np.vstack(cloud)
+
+
+# float32-range votes, which take the wide path of _axis_cells on both axes, and on x only
+FAR = np.array([[3e38, 3e38]] * 5 + [[-3e38, 1.0]] * 3 + [[2.0, -3e38], [3e38, -3e38]])
+FAR_X = np.array([[3e38, 5.0]] * 4 + [[-3e38, 7.0]] * 2)
 
 
 def assert_cells_within(pts, r):
@@ -754,10 +794,48 @@ def assert_cells_within(pts, r):
 def test_every_cell_lies_within_the_radius(r):
     # the invariant that lets a dense cell be all core and a cell's cores one union-find node
     rng = np.random.default_rng(22)
-    edges = boundary_cloud(rng, r)
+    # both edges of 30 cells: a cell wider than the rounding allows holds votes at opposite corners
+    edges = edge_cloud(rng, r / np.sqrt(2.0) * clustering._SHRINK, 2**29, 2, 3, 30)
     blobs = random_cloud(rng, 2000) * (r / 2.5)
-    far = np.array([[3e38, 3e38]] * 5 + [[-3e38, 1.0]] * 3 + [[2.0, -3e38], [3e38, -3e38]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for pts in (edges, np.vstack([edges, blobs]), np.vstack([blobs, far]), np.vstack([edges, far])):
+        for pts in (edges, np.vstack([edges, blobs]), np.vstack([blobs, FAR]), np.vstack([edges, FAR])):
             assert_cells_within(pts, r)
+
+
+# --- the 3x3 sub-cell block within the radius --------------------------------
+
+
+def assert_sub_blocks_within(pts, r):
+    """Every vote of each sub-cell passes the float pair test against every
+    vote of each sub-cell in its block."""
+    index = GridIndex(pts, r)
+    block = index.sub_blocks(np.arange(index.sub_keys.size))
+    sub, col = np.nonzero(block >= 0)
+    k, q = clustering._ragged(index.sub_starts[sub], index.sub_counts[sub])
+    other = block[sub, col][k]
+    first, size = index.sub_starts[other], index.sub_counts[other]
+    for _, _, hit in clustering._pair_tests(index.x[q], index.y[q], first, size, index.x, index.y, index.r2):
+        assert hit.all(), f"{np.count_nonzero(~hit)} pairs in one block beyond the radius"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.sampled_from([R_MIN, 1e-3, 1.0, 2.5, 20.0, 1e6, R_MAX]),
+    kind=st.sampled_from(["edges", "edges+blobs", "blobs+far", "blobs+far-x", "edges+far"]),
+)
+def test_every_sub_cell_block_lies_within_the_radius(seed, r, kind):
+    # the bound that lets counts_within settle a vote by its 3x3 sub-cell block
+    rng = np.random.default_rng(seed)
+    parts = []
+    if "edges" in kind:
+        # the edges of sub-cells k to k + 2 for 16 sub-cells k: votes in sub-cells
+        # one or two apart sit as far apart as those sub-cells let them
+        parts.append(edge_cloud(rng, r / np.sqrt(2.0) * clustering._SHRINK / 2, 2**30, 4, 2, 16))
+    if "blobs" in kind:
+        parts.append(random_cloud(rng, 1500) * (r / 2.5))
+    parts.append({"far": FAR, "far-x": FAR_X}.get(kind.rpartition("+")[2], np.zeros((0, 2))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_sub_blocks_within(np.vstack(parts), r)

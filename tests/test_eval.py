@@ -324,3 +324,56 @@ def test_map_eval_matches_all_pairs_tables(frames):
         with mock.patch.object(evaluation, "_iou_matrix", lambda rows, cols, iou: all_pairs_table(rows, cols)):
             expected = map_eval(preds, gts)
         assert map_eval(preds, gts) == expected
+
+
+# --- one matching pass for all thresholds ------------------------------------
+
+
+def greedy_match_at(iou, scores, iou_thresh):
+    """The matching rule at one threshold: the oracle for the one-pass
+    matcher. Detections in stable descending-score order each take the
+    free ground truth of highest IoU (first on ties) if that IoU is above
+    0 and at or above the threshold."""
+    order = sorted(range(len(scores)), key=lambda i: -scores[i])
+    n_gt = iou.shape[1]
+    taken = np.zeros(n_gt, dtype=bool)
+    ranked = np.empty(len(scores))
+    tp = np.zeros(len(scores), dtype=bool)
+    for rank, di in enumerate(order):
+        ranked[rank] = scores[di]
+        if n_gt:
+            row = np.where(taken, -1.0, iou[di])
+            gi = int(np.argmax(row))
+            if row[gi] > 0.0 and row[gi] >= iou_thresh:
+                taken[gi] = True
+                tp[rank] = True
+    return ranked, tp
+
+
+# zero, the thresholds themselves and one ulp below them, and values between
+IOU_VALUES = [0.0, 1.0, 0.3, 0.62, 0.81, *evaluation.IOU_THRESHOLDS]
+IOU_VALUES += [float(np.nextafter(t, 0.0)) for t in evaluation.IOU_THRESHOLDS]
+
+
+@st.composite
+def iou_tables(draw):
+    """``(iou, scores)`` for one frame: sometimes no detections or no ground
+    truth, IoUs drawn mostly from ``IOU_VALUES`` so rows tie, and scores from
+    a few values so detections tie."""
+    n_det, n_gt = draw(st.integers(0, 7)), draw(st.integers(0, 6))
+    value = st.one_of(st.sampled_from(IOU_VALUES), st.floats(0.0, 1.0))
+    iou = np.array(draw(st.lists(value, min_size=n_det * n_gt, max_size=n_det * n_gt))).reshape(n_det, n_gt)
+    scores = draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0]), min_size=n_det, max_size=n_det))
+    return iou, np.array(scores, dtype=np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=iou_tables())
+def test_one_matching_pass_agrees_with_each_threshold_alone(table):
+    iou, scores = table
+    ranked, tp = evaluation._greedy_match(iou, scores, np.array(evaluation.IOU_THRESHOLDS))
+    assert tp.shape == (len(evaluation.IOU_THRESHOLDS), len(scores))
+    for flags, thr in zip(tp, evaluation.IOU_THRESHOLDS):
+        want_ranked, want_tp = greedy_match_at(iou, scores, thr)
+        assert np.array_equal(ranked, want_ranked)
+        assert np.array_equal(flags, want_tp)
