@@ -8,7 +8,7 @@ clustering and can be reclaimed later by the residual reassignment step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -45,6 +45,20 @@ class CenterCloud:
         object.__setattr__(self, "positions", _frozen(pos))
         object.__setattr__(self, "filtered", _frozen(flt))
 
+    @classmethod
+    def _trusted(
+        cls, dims: GridDims, source_pixels: np.ndarray, positions: np.ndarray, filtered: np.ndarray
+    ) -> "CenterCloud":
+        """A cloud valid by construction: int64 source pixels strictly
+        ascending within the grid, (n, 2) float64 positions and n bool
+        flags, which it keeps (no check or copy)."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "dims", dims)
+        object.__setattr__(out, "source_pixels", _frozen(source_pixels))
+        object.__setattr__(out, "positions", _frozen(positions))
+        object.__setattr__(out, "filtered", _frozen(filtered))
+        return out
+
     def __len__(self) -> int:
         return int(self.source_pixels.size)
 
@@ -80,19 +94,16 @@ def generate_centers(semantic: SemanticMap, offsets: OffsetMap) -> CenterCloud:
             f"semantic {semantic.dims.width}x{semantic.dims.height} vs "
             f"offsets {offsets.dims.width}x{offsets.dims.height}"
         )
-    flat_labels = semantic.labels.ravel()
-    src = np.flatnonzero(flat_labels == PIGLET)
-    w = semantic.dims.width
-    xs = (src % w).astype(np.float64)
-    ys = (src // w).astype(np.float64)
-    vec = offsets.vectors.reshape(-1, 2).take(src, axis=0).astype(np.float64)
-    pos = np.stack([xs + vec[:, 0], ys + vec[:, 1]], axis=1)
-    cloud = CenterCloud(
-        dims=semantic.dims,
-        source_pixels=src,
-        positions=pos,
-        filtered=np.zeros(src.size, dtype=bool),
-    )
+    src = np.flatnonzero(semantic.labels.ravel() == PIGLET)
+    xs = np.empty(src.size)
+    ys = np.empty(src.size)
+    np.divmod(src, semantic.dims.width, out=(ys, xs))
+    # one gather of the offset rows, then the pixel coordinates added in
+    # place: the same float64 sums as pixel + offset, built in one array
+    pos = offsets.vectors.reshape(-1, 2).take(src, axis=0).astype(np.float64)
+    pos[:, 0] += xs
+    pos[:, 1] += ys
+    cloud = CenterCloud._trusted(semantic.dims, src, pos, np.zeros(src.size, dtype=bool))
     cloud.__dict__["_source_xy"] = (_frozen(xs), _frozen(ys))  # for the offset-magnitude filter
     return cloud
 
@@ -100,6 +111,8 @@ def generate_centers(semantic: SemanticMap, offsets: OffsetMap) -> CenterCloud:
 # Relative half-width of the band around t*t in which the squared offset
 # leaves ``hypot(dx, dy) <= t`` to np.hypot.
 _BAND = 2.0**-30
+# votes per block of the offset-magnitude test, which bounds its temporaries
+_BLOCK = 1 << 15
 
 
 def _offset_within(dx: np.ndarray, dy: np.ndarray, t: float) -> np.ndarray:
@@ -143,7 +156,11 @@ def filter_centers(cloud: CenterCloud, radius_t: float, min_neighbors: int, stra
         keep = neighbors_at_least(cloud.positions, radius_t, min_neighbors + 1)
     elif strategy == FILTER_OFFSET_MAGNITUDE:
         px, py = cloud._source_xy
-        keep = _offset_within(cloud.positions[:, 0] - px, cloud.positions[:, 1] - py, radius_t)
+        pos = cloud.positions
+        keep = np.empty(len(cloud), dtype=bool)
+        for i in range(0, len(cloud), _BLOCK):
+            j = slice(i, i + _BLOCK)
+            keep[j] = _offset_within(pos[j, 0] - px[j], pos[j, 1] - py[j], radius_t)
     else:
         raise ValueError(f"unknown filter strategy: {strategy!r}")
-    return replace(cloud, filtered=~keep)
+    return CenterCloud._trusted(cloud.dims, cloud.source_pixels, cloud.positions, ~keep)

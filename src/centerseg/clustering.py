@@ -325,7 +325,10 @@ class GridIndex:
         # the cell key in the top bits and the sub-cell below it: sorting by
         # it keeps every cell, and every sub-cell within it, contiguous
         fine = (((fx >> 1) + _REACH) * span + ((fy >> 1) + _REACH)) << 2 | (fx & 1) << 1 | (fy & 1)
-        by_cell = np.argsort(fine)
+        if fine.max(initial=0) < 2**16:  # numpy sorts 16-bit keys stably by radix
+            by_cell = np.argsort(fine.astype(np.uint16), kind="stable")
+        else:
+            by_cell = np.argsort(fine)
         fine = fine[by_cell]
         self.order = finite[by_cell]
         self.x = pts[self.order, 0]
@@ -611,7 +614,8 @@ def dbscan(points, eps: float, min_pts: int) -> ClusterLabels:
         full = np.zeros(len(pts), dtype=np.int64)
         full[kept] = labels
         labels = full
-    return ClusterLabels(labels, n_groups)
+    # every group is a root of np.unique(root), so it holds a core
+    return ClusterLabels._trusted(labels, n_groups)
 
 
 def dbscan_naive(points, eps: float, min_pts: int) -> ClusterLabels:

@@ -21,11 +21,16 @@ the same errors.
 Writers are deterministic: identical values produce identical bytes.
 Read errors are FormatErrors naming the file and the byte offset of the
 problem.
+
+The map readers read a file into fresh memory placed so that its
+13-byte header ends on a 16-byte boundary: the payload view is then
+aligned, and numpy reads it without an aligned copy.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import reprlib
 import struct
 from dataclasses import asdict, fields
@@ -63,11 +68,12 @@ class FormatError(ValueError):
         return type(self), (self.path, self.offset, self.message)
 
 
-def _parse_header(data: bytes, magic: bytes, bytes_per_pixel: int, path) -> GridDims:
-    """Dimensions from the header, after checking that the payload holds
-    exactly ``bytes_per_pixel`` bytes per pixel."""
-    if data[:4] != magic:
-        raise FormatError(path, 0, f"bad magic {data[:4]!r}, expected {magic!r}")
+def _parse_header(data, magic: bytes, bytes_per_pixel: int, path) -> GridDims:
+    """Dimensions from the header of ``data`` (bytes or a byte memoryview),
+    after checking that the payload holds exactly ``bytes_per_pixel``
+    bytes per pixel."""
+    if bytes(data[:4]) != magic:
+        raise FormatError(path, 0, f"bad magic {bytes(data[:4])!r}, expected {magic!r}")
     if len(data) < 5:
         raise FormatError(path, 4, "truncated before version byte")
     if data[4] != FORMAT_VERSION:
@@ -109,7 +115,7 @@ def semantic_to_bytes(sm: SemanticMap) -> bytes:
     return b"".join(_map_parts(sm))
 
 
-def semantic_from_bytes(data: bytes, path="<memory>") -> SemanticMap:
+def semantic_from_bytes(data: bytes | memoryview, path="<memory>") -> SemanticMap:
     dims = _parse_header(data, SEMANTIC_MAGIC, 1, path)
     labels = np.frombuffer(data, dtype="|u1", offset=13).reshape(dims.shape)  # a read-only view of data
     try:
@@ -123,7 +129,7 @@ def offsets_to_bytes(om: OffsetMap) -> bytes:
     return b"".join(_map_parts(om))
 
 
-def offsets_from_bytes(data: bytes, path="<memory>") -> OffsetMap:
+def offsets_from_bytes(data: bytes | memoryview, path="<memory>") -> OffsetMap:
     dims = _parse_header(data, OFFSET_MAGIC, 8, path)
     vec = np.frombuffer(data, dtype="<f4", offset=13).reshape(*dims.shape, 2)  # a read-only view of data
     try:
@@ -132,12 +138,25 @@ def offsets_from_bytes(data: bytes, path="<memory>") -> OffsetMap:
         raise FormatError(path, 13, "non-finite offset component") from None
 
 
+def _read_map(path) -> memoryview:
+    """The bytes of a map file as a read-only view of fresh numpy memory,
+    placed so that the payload after the 13-byte header starts on a
+    16-byte boundary. One byte more than the file's size is asked for, so
+    a file that grew after its size was taken still fails the size check."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        buf = np.empty(size + 16, dtype=np.uint8)
+        lead = (3 - buf.ctypes.data) % 16  # 3 bytes past a 16-byte boundary
+        n = f.readinto(memoryview(buf)[lead : lead + size + 1])
+    return memoryview(buf)[lead : lead + n].toreadonly()
+
+
 def write_semantic(path, sm: SemanticMap) -> None:
     _write_map(path, sm)
 
 
 def read_semantic(path) -> SemanticMap:
-    return semantic_from_bytes(Path(path).read_bytes(), path)
+    return semantic_from_bytes(_read_map(path), path)
 
 
 def write_offsets(path, om: OffsetMap) -> None:
@@ -145,7 +164,7 @@ def write_offsets(path, om: OffsetMap) -> None:
 
 
 def read_offsets(path) -> OffsetMap:
-    return offsets_from_bytes(Path(path).read_bytes(), path)
+    return offsets_from_bytes(_read_map(path), path)
 
 
 def manifest_dumps(frame_id: int, dims: GridDims, instances: list[Instance]) -> str:

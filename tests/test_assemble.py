@@ -1,5 +1,6 @@
 """Mask assembly: group tracing, sow instance, residual reassignment."""
 
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -24,8 +25,11 @@ from centerseg import (
     segment_frame,
     sow_instance,
 )
+from centerseg import formats
 from centerseg import instances as instances_module
+from centerseg.cli import main
 from centerseg.grids import OffsetMap
+from test_golden import FULLRES_SCENE
 
 
 def cloud_from(dims, src, pos, filtered=None):
@@ -474,3 +478,25 @@ def test_grid_dbscan_matches_naive_on_retained_votes():
     labels = dbscan(votes, cfg.eps, cfg.min_pts)
     assert labels.n_groups == 2
     assert labels == dbscan_naive(votes, cfg.eps, cfg.min_pts)
+
+
+def test_full_scale_frame_memory(tmp_path):
+    # the first FULLRES_GOLDEN frame at t=20 eps=2.5 min_pts=50, its maps
+    # read and the frame segmented once before tracing: with the offset-magnitude filter the votes are
+    # built in place and tested in blocks (the parent peaked at 10.7 MiB);
+    # the density filter's count sets its own peak (32.7 MiB)
+    scene = tmp_path / "scene.cfg"
+    scene.write_text(FULLRES_SCENE)
+    assert main(["synth", str(scene), "--out-dir", str(tmp_path), "--frames", "1"]) == 0
+    sem = formats.read_semantic(tmp_path / "frame_0000.ccsm")
+    off = formats.read_offsets(tmp_path / "frame_0000.ccof")
+    for strategy, bound in (("offset-magnitude", 9), ("density", 36)):
+        cfg = PipelineConfig(t=20.0, eps=2.5, min_pts=50, filter_strategy=strategy)
+        segment_frame(sem, off, cfg)
+        tracemalloc.start()
+        try:
+            segment_frame(sem, off, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 2**20, f"{strategy}: tracemalloc peak {peak / 2**20:.2f} MiB"

@@ -1,9 +1,13 @@
 """Center vote generation and outlier filtering."""
 
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from centerseg import (
     CenterCloud,
@@ -231,3 +235,52 @@ def test_offset_magnitude_decisions_match_hypot(case):
         old = np.hypot(cloud.positions[:, 0] - px, cloud.positions[:, 1]) <= t
         flagged = filter_centers(cloud, radius_t=t, min_neighbors=0, strategy="offset-magnitude").filtered
     assert np.array_equal(flagged, ~old)
+
+
+@st.composite
+def vote_maps(draw):
+    """A semantic and an offset map: one-row and one-column frames among
+    others, with no piglet pixel, every pixel a piglet, or any mix, and
+    offsets of any float32 magnitude up to +-3e38."""
+    width, height = draw(st.one_of(
+        st.sampled_from([(1, 1), (1, 13), (13, 1)]), st.tuples(st.integers(1, 14), st.integers(1, 14))
+    ))
+    shape = (height, width)
+    kind = draw(st.sampled_from(["none", "all", "mixed"]))
+    if kind == "mixed":
+        labels = draw(arrays(np.uint8, shape, elements=st.integers(0, 2)))
+    else:
+        labels = np.full(shape, 1 if kind == "all" else draw(st.sampled_from([0, 2])), dtype=np.uint8)
+    far = float(np.float32(3e38))
+    component = st.one_of(
+        st.floats(-far, far, width=32), st.sampled_from([far, -far, 0.0]), st.floats(-30, 30, width=32)
+    )
+    vectors = draw(arrays(np.float32, (*shape, 2), elements=component))
+    dims = GridDims(width, height)
+    return SemanticMap(dims, labels), OffsetMap(dims, vectors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(maps=vote_maps(), t=st.sampled_from([0.5, 2.5, 20.0]), k=st.integers(0, 4), block=st.sampled_from([1, 3, 4096]))
+def test_built_clouds_equal_validated_ones(maps, t, k, block):
+    sem, off = maps
+    src = np.flatnonzero(sem.labels.ravel() == 1)
+    vec = off.vectors.reshape(-1, 2)[src].astype(np.float64)
+    xs, ys = (src % sem.dims.width).astype(np.float64), (src // sem.dims.width).astype(np.float64)
+    want = CenterCloud(sem.dims, src, np.stack([xs + vec[:, 0], ys + vec[:, 1]], 1), np.zeros(src.size, dtype=bool))
+    cloud = generate_centers(sem, off)
+    assert cloud == want
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = ((want.positions[:, None, :] - want.positions[None, :, :]) ** 2).sum(-1)
+        flags = {
+            "density": (d2 <= t * t).sum(1) - 1 < k,
+            "offset-magnitude": ~(np.hypot(vec[:, 0], vec[:, 1]) <= t),
+        }
+    with mock.patch.object(centers, "_BLOCK", block):  # blocks of the offset-magnitude test
+        for strategy, flagged in flags.items():
+            got = filter_centers(cloud, radius_t=t, min_neighbors=k, strategy=strategy)
+            assert got == replace(want, filtered=flagged)
+    for c in (cloud, got):
+        assert c.source_pixels.dtype == np.int64 and c.positions.dtype == np.float64 and c.filtered.dtype == bool
+        assert c.positions.shape == (len(c), 2) and c.filtered.shape == (len(c),)
+        assert not (c.source_pixels.flags.writeable or c.positions.flags.writeable or c.filtered.flags.writeable)

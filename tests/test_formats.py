@@ -35,6 +35,7 @@ from centerseg.formats import (
     manifest_loads,
     metrics_csv_dumps,
     metrics_csv_loads,
+    offsets_from_bytes,
     offsets_to_bytes,
     read_config,
     read_manifest,
@@ -126,6 +127,46 @@ def test_write_offsets_holds_no_copy_of_the_map(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "m.ccof").stat().st_size == 13 + om.vectors.nbytes
     assert peak < 2**20, f"tracemalloc peak {peak / 2**20:.2f} MB for a {om.vectors.nbytes / 2**20:.2f} MB map"
+
+
+@pytest.mark.parametrize("width, height", [(1280, 720), (1, 1), (7, 5)])
+def test_map_readers_return_aligned_read_only_arrays(tmp_path, width, height):
+    rng = np.random.default_rng(width * height)
+    maps = (
+        (write_semantic, read_semantic, semantic_from_bytes, random_semantic(rng, width, height), "labels"),
+        (write_offsets, read_offsets, offsets_from_bytes, random_offsets(rng, width, height), "vectors"),
+    )
+    for write, read, from_bytes, m, field in maps:
+        path = tmp_path / "m.bin"
+        write(path, m)
+        got = read(path)
+        assert got == from_bytes(path.read_bytes()) == m
+        arr = getattr(got, field)
+        assert arr.flags.aligned and arr.flags.c_contiguous and arr.ctypes.data % 16 == 0
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):  # the memory under the view is read-only too
+            arr.flags.writeable = True
+
+
+def test_map_readers_fail_as_the_byte_parsers_do(tmp_path):
+    rng = np.random.default_rng(4)
+    sem, off = semantic_to_bytes(random_semantic(rng, 7, 5)), offsets_to_bytes(random_offsets(rng, 7, 5))
+    bad_class = bytearray(sem)
+    bad_class[20] = 3
+    nan = bytearray(off)
+    nan[-4:] = np.float32(np.nan).tobytes()
+    malformed = [b"", sem[:3], sem[:4], sem[:12], sem[:-1], sem + b"\0", b"XXSM" + sem[4:],
+                 sem[:4] + b"\2" + sem[5:], sem[:5] + bytes(8) + sem[13:], bytes(bad_class)]
+    cases = [(read_semantic, semantic_from_bytes, data) for data in malformed]
+    cases += [(read_offsets, offsets_from_bytes, data) for data in (off[:-1], off + b"\0", sem, bytes(nan))]
+    path = tmp_path / "m.bin"
+    for read, from_bytes, data in cases:
+        path.write_bytes(data)
+        with pytest.raises(FormatError) as want:
+            from_bytes(data, path)
+        with pytest.raises(FormatError) as got:
+            read(path)
+        assert (got.value.offset, str(got.value)) == (want.value.offset, str(want.value))
 
 
 def test_bad_magic_offset_zero():
