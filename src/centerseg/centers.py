@@ -108,34 +108,8 @@ def generate_centers(semantic: SemanticMap, offsets: OffsetMap) -> CenterCloud:
     return cloud
 
 
-# Relative half-width of the band around t*t in which the squared offset
-# leaves ``hypot(dx, dy) <= t`` to np.hypot.
-_BAND = 2.0**-30
 # votes per block of the offset-magnitude test, which bounds its temporaries
 _BLOCK = 1 << 15
-
-
-def _offset_within(dx: np.ndarray, dy: np.ndarray, t: float) -> np.ndarray:
-    """``np.hypot(dx, dy) <= t``, decided from ``dx*dx + dy*dy`` against
-    ``t*t`` outside a narrow band, for a radius ``t`` under the contract of
-    :mod:`.clustering`.
-
-    As ``t*t`` is a normal float, ``dx*dx + dy*dy`` and ``t*t`` are each
-    within a relative 2**-52 of their real values, up to 2**-1074 per
-    square below the normal range, which is far inside the band; np.hypot
-    is within a few ulps of the real length. So a squared offset under
-    ``t*t * (1 - 2**-30)`` has a hypot under t, and one over
-    ``t*t * (1 + 2**-30)`` and finite has a hypot over t. The offsets in
-    between or with a squared offset that is not finite (an overflow, an
-    inf or a NaN) go to np.hypot.
-    """
-    tt = t * t
-    with np.errstate(over="ignore", under="ignore"):
-        s = dx * dx + dy * dy
-    keep = s < tt * (1.0 - _BAND)
-    unsure = ~(keep | ((s > tt * (1.0 + _BAND)) & (s <= np.finfo(np.float64).max)))
-    keep[unsure] = np.hypot(dx[unsure], dy[unsure]) <= t
-    return keep
 
 
 def filter_centers(cloud: CenterCloud, radius_t: float, min_neighbors: int, strategy: str) -> CenterCloud:
@@ -144,7 +118,10 @@ def filter_centers(cloud: CenterCloud, radius_t: float, min_neighbors: int, stra
     ``density``: a vote is retained iff at least
     ``min_neighbors`` OTHER votes lie within ``radius_t`` of it.
     ``offset-magnitude``: retained iff its displacement from the source
-    pixel is at most ``radius_t``.
+    pixel is at most ``radius_t`` by the closed-ball rule of
+    :mod:`.clustering`, ``dx*dx + dy*dy <= radius_t*radius_t`` in float64:
+    exactly when :func:`.neighbors_at_least` counts the vote and its
+    source pixel as neighbors at ``radius_t``.
 
     The vote count never changes; previously set flags are recomputed.
     """
@@ -157,10 +134,14 @@ def filter_centers(cloud: CenterCloud, radius_t: float, min_neighbors: int, stra
     elif strategy == FILTER_OFFSET_MAGNITUDE:
         px, py = cloud._source_xy
         pos = cloud.positions
+        tt = radius_t * radius_t
         keep = np.empty(len(cloud), dtype=bool)
-        for i in range(0, len(cloud), _BLOCK):
-            j = slice(i, i + _BLOCK)
-            keep[j] = _offset_within(pos[j, 0] - px[j], pos[j, 1] - py[j], radius_t)
+        with np.errstate(over="ignore"):
+            for i in range(0, len(cloud), _BLOCK):
+                j = slice(i, i + _BLOCK)
+                dx = pos[j, 0] - px[j]
+                dy = pos[j, 1] - py[j]
+                keep[j] = dx * dx + dy * dy <= tt
     else:
         raise ValueError(f"unknown filter strategy: {strategy!r}")
     return CenterCloud._trusted(cloud.dims, cloud.source_pixels, cloud.positions, ~keep)

@@ -25,7 +25,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import formats
@@ -99,15 +99,12 @@ def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
     cfg = formats.read_config(args.config) if args.config else PipelineConfig()
-    for f in fields(PipelineConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            setattr(cfg, f.name, value)
+    values = ((f.name, getattr(args, f.name, None)) for f in fields(PipelineConfig))
+    flags = {name: value for name, value in values if value is not None}
     try:
-        cfg.validate()
+        return replace(cfg, **flags)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return cfg
 
 
 @contextlib.contextmanager

@@ -79,6 +79,11 @@ cells. The two votes' coordinates then differ by at most
 ``(1 + 2**-50) / (1 + 2**-16) + 2**-21 < 1``, so their coarse cells are
 equal or adjacent. On a grid of more than ``_TABLE_CELLS`` cells a vote
 (float32-range votes, say), nothing is left out.
+
+Both vote filters hold their radius ``t`` to the same closed-ball rule:
+the density filter counts a vote's neighbors by it, and the
+offset-magnitude filter keeps a vote iff ``dx*dx + dy*dy <= t*t`` in
+float64 for the vote's offset from its source pixel.
 """
 
 from __future__ import annotations

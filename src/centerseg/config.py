@@ -10,7 +10,7 @@ ALGORITHMS = ("dbscan", "mean-shift")
 FILTER_STRATEGIES = ("density", "offset-magnitude")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     """Knobs for the segmentation pipeline and its downstream consumers.
 
@@ -32,9 +32,6 @@ class PipelineConfig:
     fps: float = 7.0
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         """Raise ValueError for the first value out of range. Each bound is
         written so that NaN fails it too; the radii ``t``, ``eps`` and
         ``bandwidth`` follow the radius contract of :mod:`.clustering`."""

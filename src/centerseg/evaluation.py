@@ -99,9 +99,8 @@ def _greedy_match(iou: np.ndarray, scores: np.ndarray, thresholds: np.ndarray):
 
 
 def _ap_from_pool(scores: np.ndarray, tp: np.ndarray, n_gt: int) -> float:
-    """Area under the interpolated precision-recall curve."""
-    if n_gt == 0:
-        return 1.0 if scores.size == 0 else 0.0
+    """Area under the interpolated precision-recall curve, for a class
+    with ``n_gt >= 1`` ground-truth instances."""
     if scores.size == 0:
         return 0.0
     order = np.argsort(-scores, kind="stable")

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -19,6 +19,7 @@ from centerseg import (
     filter_centers,
     generate_centers,
 )
+from centerseg.clustering import neighbors_at_least
 
 
 def make_maps(dims, piglet_xy, offsets_by_xy=None):
@@ -221,20 +222,53 @@ def offsets_and_radius(draw):
     return dx.copy(), dy.copy(), t
 
 
+def one_row_cloud(dx, dy):
+    """One vote per pixel of a one-row frame, voting at its pixel + (dx, dy)."""
+    n = dx.size
+    return CenterCloud(GridDims(n, 1), np.arange(n), np.stack([np.arange(n) + dx, dy], 1), np.zeros(n, dtype=bool))
+
+
+def offsets_at(t, pairs):
+    dx, dy = np.array(pairs, dtype=np.float64).T
+    return dx.copy(), dy.copy(), t
+
+
+# offsets that np.hypot(dx, dy) <= t decides one way and dx*dx + dy*dy <= t*t
+# the other (both ways at t = 7.3), then float32-range and non-finite offsets
+HYPOT_DISAGREES = [
+    offsets_at(20.0, [(12.000000000000002, 16.0), (7.69230769230769, 18.461538461538463),
+                      (9.411764705882351, 17.647058823529413),
+                      (3e38, -3e38), (-3e38, 0.0), (np.inf, 0.0), (0.0, -np.inf), (np.nan, 1.0)]),
+    offsets_at(7.3, [(4.379999999999999, 5.840000000000001), (2.807692307692306, 6.738461538461539),
+                     (3.4352941176470586, 6.4411764705882355), (2.0440000000000014, 7.008)]),
+]
+
+
 @settings(max_examples=400, deadline=None)
 @given(case=offsets_and_radius())
-def test_offset_magnitude_decisions_match_hypot(case):
+@example(case=HYPOT_DISAGREES[0])
+@example(case=HYPOT_DISAGREES[1])
+def test_offset_magnitude_filter_is_the_closed_ball_rule(case):
     dx, dy, t = case
-    with np.errstate(over="ignore"):  # np.hypot of two offsets near the float64 limit
-        assert np.array_equal(centers._offset_within(dx, dy, t), np.hypot(dx, dy) <= t)
-    # through the filter: one vote per pixel of a one-row frame
-    n = dx.size
-    px = np.arange(n, dtype=np.float64)
-    cloud = CenterCloud(GridDims(n, 1), np.arange(n), np.stack([px + dx, dy], 1), np.zeros(n, dtype=bool))
-    with np.errstate(over="ignore", invalid="ignore"):
-        old = np.hypot(cloud.positions[:, 0] - px, cloud.positions[:, 1]) <= t
-        flagged = filter_centers(cloud, radius_t=t, min_neighbors=0, strategy="offset-magnitude").filtered
-    assert np.array_equal(flagged, ~old)
+    cloud = one_row_cloud(dx, dy)
+    # no errstate around the filter: a float32-range or non-finite vote raises no RuntimeWarning
+    flagged = filter_centers(cloud, radius_t=t, min_neighbors=0, strategy="offset-magnitude").filtered
+    ox, oy = cloud.positions[:, 0] - np.arange(len(cloud)), cloud.positions[:, 1]
+    with np.errstate(over="ignore"):
+        assert np.array_equal(flagged, ~(ox * ox + oy * oy <= t * t))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=offsets_and_radius())
+@example(case=HYPOT_DISAGREES[0])
+@example(case=HYPOT_DISAGREES[1])
+def test_offset_magnitude_filter_keeps_a_vote_iff_it_neighbors_its_source_pixel(case):
+    dx, dy, t = case
+    cloud = one_row_cloud(dx, dy)
+    kept = ~filter_centers(cloud, radius_t=t, min_neighbors=0, strategy="offset-magnitude").filtered
+    for i, vote in enumerate(cloud.positions):
+        pair = np.array([[i, 0.0], vote])
+        assert kept[i] == neighbors_at_least(pair, t, 2)[1], (dx[i], dy[i], t)
 
 
 @st.composite
@@ -274,7 +308,7 @@ def test_built_clouds_equal_validated_ones(maps, t, k, block):
         d2 = ((want.positions[:, None, :] - want.positions[None, :, :]) ** 2).sum(-1)
         flags = {
             "density": (d2 <= t * t).sum(1) - 1 < k,
-            "offset-magnitude": ~(np.hypot(vec[:, 0], vec[:, 1]) <= t),
+            "offset-magnitude": ~((vec * vec).sum(1) <= t * t),
         }
     with mock.patch.object(centers, "_BLOCK", block):  # blocks of the offset-magnitude test
         for strategy, flagged in flags.items():

@@ -1,5 +1,6 @@
 """End-to-end CLI runs against temp files."""
 
+import json
 import threading
 import tracemalloc
 
@@ -605,3 +606,110 @@ def test_successive_commands_parse_independently(tmp_path, capsys):
     assert (out / "frame_0000.json").read_text() == manifest_dumps(0, GridDims(128, 96), expected.instances) != no_piglets
     args = cli.build_parser().parse_args(["segment", "--batch-dir", str(out)])
     assert (args.command, args.rc2m, args.min_pts, args.jobs) == ("segment", None, None, None)
+
+
+def write_blank_pair(directory, name, dims, offsets=True):
+    """A piglet-free ``<name>.ccsm`` and, unless ``offsets`` is false, its ``<name>.ccof``."""
+    write_semantic(directory / f"{name}.ccsm", SemanticMap(dims, np.zeros(dims.shape, dtype=np.uint8)))
+    if offsets:
+        write_offsets(directory / f"{name}.ccof", OffsetMap(dims, np.zeros((*dims.shape, 2), dtype=np.float32)))
+
+
+STAGES = ["assemble", "cluster", "filter", "generate", "reassign", "sow", "total"]
+
+
+def test_segment_timings_single_frame_and_batch(tmp_path, monkeypatch):
+    # frames of distinct sizes, made out of name order
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    for name, width in (("c", 9), ("a", 7), ("b", 8)):
+        write_blank_pair(batch, name, GridDims(width, 5))
+    one = tmp_path / "one.json"
+    segment = ["segment", str(batch / "a.ccsm"), str(batch / "a.ccof"), "--out", str(tmp_path / "o.json")]
+    assert main([*segment, "--timings", str(one)]) == 0
+    timing = json.loads(one.read_text())
+    assert sorted(timing) == STAGES and all(v >= 0 for v in timing.values())
+
+    real = cli.segment_frame
+    calls = []
+
+    def recorded(semantic, offsets, cfg):
+        result = real(semantic, offsets, cfg)
+        calls.append((semantic.dims.width, result.timings))
+        return result
+
+    monkeypatch.setattr(cli, "segment_frame", recorded)
+    listed = tmp_path / "batch.json"
+    assert main(["segment", "--batch-dir", str(batch), "--timings", str(listed)]) == 0
+    # one object per frame, in name order
+    assert [width for width, _ in calls] == [7, 8, 9]
+    assert json.loads(listed.read_text()) == [t for _, t in calls]
+    assert all(sorted(t) == STAGES for _, t in calls)
+
+
+def assert_exit_2(capsys, argv, message):
+    assert main([str(a) for a in argv]) == 2, argv
+    assert capsys.readouterr().err == f"error: {message}\n", argv
+
+
+def test_segment_without_frames_or_out_exit_2_publishes_nothing(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "a.ccof").write_bytes(b"")
+    assert_exit_2(capsys, ["segment", "--batch-dir", empty], f"no .ccsm files in {empty}")
+    assert [p.name for p in empty.iterdir()] == ["a.ccof"]
+
+    # b has no offset map, so the batch fails before frame a is segmented
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    write_blank_pair(batch, "a", GridDims(8, 6))
+    write_blank_pair(batch, "b", GridDims(8, 6), offsets=False)
+    assert_exit_2(capsys, ["segment", "--batch-dir", batch], f"missing offset file for {batch / 'b.ccsm'}")
+    assert sorted(p.name for p in batch.iterdir()) == ["a.ccof", "a.ccsm", "b.ccsm"]
+
+    need = "segment needs SEMANTIC OFFSETS --out OUT (or --batch-dir)"
+    assert_exit_2(capsys, ["segment", batch / "a.ccsm", batch / "a.ccof"], need)
+    assert sorted(p.name for p in batch.iterdir()) == ["a.ccof", "a.ccsm", "b.ccsm"]
+
+
+def test_track_manifests_of_two_sizes_exit_2(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text('{"frame":0,"height":4,"instances":[],"width":4}\n')
+    b.write_text('{"frame":1,"height":4,"instances":[],"width":5}\n')
+    assert_exit_2(capsys, ["track", a, b, "--out-dir", tmp_path / "t"], "frame 1 is 5x4, expected 4x4")
+    assert not (tmp_path / "t").exists()
+
+
+def test_config_line_without_equals_exit_2_names_its_offset(tmp_path, capsys):
+    cfg_path = tmp_path / "pipe.cfg"
+    cfg_path.write_text("eps=2\nmin_pts 9\n")
+    segment = ["segment", tmp_path / "a.ccsm", tmp_path / "a.ccof", "--out", tmp_path / "o.json"]
+    assert_exit_2(capsys, [*segment, "--config", cfg_path], f"{cfg_path}: byte 6: expected key=value, got 'min_pts 9'")
+
+
+def test_manifest_ending_inside_a_run_list_exit_2_names_its_offset(tmp_path, capsys):
+    text = '{"frame":0,"height":3,"instances":[{"class":"piglet","predicted_center":[1.0,1.0],"rle":[4,5'
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["eval", "--pred", str(bad), "--gt", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad}: byte {len(text)}: bad instance manifest: ")
+    assert "mAP" not in captured.out
+
+
+def test_eval_warns_of_detections_against_an_empty_ground_truth(tmp_path, capsys):
+    gt, pred = tmp_path / "gt.json", tmp_path / "pred.json"
+    gt.write_text('{"frame":0,"height":3,"instances":[],"width":3}\n')
+    pred.write_text(
+        '{"frame":0,"height":3,"instances":[{"class":"piglet","predicted_center":[1.0,1.0],'
+        '"rle":[4,5],"score":0.9}],"width":3}\n'
+    )
+    with pytest.warns(UserWarning, match="no ground-truth instances"):
+        assert main(["eval", "--pred", str(pred), "--gt", str(gt)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "mAP = 0.000\n"
+    assert captured.err == "warning: detections against an empty ground truth\n"
+    with pytest.warns(UserWarning, match="no ground-truth instances"):  # nothing to find, nothing found
+        assert main(["eval", "--pred", str(gt), "--gt", str(gt)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "mAP = 1.000\n" and captured.err == ""
