@@ -7,11 +7,13 @@ A path that does not exist, such as a missing input file, is a bad
 argument.
 Each command has flags for only the pipeline config keys it reads; its
 ``--config`` file may set any key.
-``segment --batch-dir`` segments its frames one after another in name
-order, stops at the first that fails, names it by its ``.ccsm`` path and
-then publishes no manifest. ``track`` reads each manifest just before
-its update and publishes its output files together once all are
-written. ``eval`` loads its manifests one after another. ``segment``
+``segment``, ``track`` and ``synth`` write every output file under a
+staged name (``_all_or_nothing``) and rename them all into place once the
+command has succeeded, so a failed write publishes nothing. ``segment``
+runs its one frame, or a ``--batch-dir`` batch one frame after another in
+name order, stops at the first that fails and names it by its ``.ccsm``
+path. ``track`` reads each manifest just before its update. ``eval``
+loads its manifests one after another. ``segment``
 and ``eval`` accept --jobs, an integer of at least 1 that has no effect.
 ``gradcheck --n`` and ``synth --frames`` must be at least 1 too, and
 ``gradcheck --seed`` at least 0.
@@ -25,6 +27,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -134,43 +137,35 @@ def _cmd_segment(args: argparse.Namespace) -> int:
     if args.batch_dir and (args.semantic or args.offsets or args.out or args.frame_id is not None):
         raise UsageError("--batch-dir takes no SEMANTIC, OFFSETS, --out or --frame-id")
     cfg = _build_config(args)
-
-    def run_one(sem_path: Path, off_path: Path, out_path: Path, frame_id: int):
-        semantic = formats.read_semantic(sem_path)
-        offsets = formats.read_offsets(off_path)
-        try:
-            result = segment_frame(semantic, offsets, cfg)
-        except (DimensionMismatch, MemoryError) as exc:
-            raise type(exc)(f"{sem_path}: {str(exc) or 'out of memory'}") from exc
-        formats.write_manifest(out_path, frame_id, semantic.dims, result.instances)
-        return result.timings
-
     if args.batch_dir:
         sem_files = sorted(args.batch_dir.glob("*.ccsm"))
         if not sem_files:
             raise UsageError(f"no .ccsm files in {args.batch_dir}")
-        # every frame writes a temporary manifest, in name order; all of them
-        # are published once the last frame succeeds, and none if a frame
-        # fails, which ends the batch
-        with _all_or_nothing() as stage:
-            frames = []
-            for i, sem in enumerate(sem_files):
-                off = sem.with_suffix(".ccof")
-                if not off.exists():
-                    raise UsageError(f"missing offset file for {sem}")
-                frames.append((sem, off, stage(sem.with_suffix(".json")), i))
-            timings = [run_one(*frame) for frame in frames]
-        if args.timings:
-            args.timings.write_text(json.dumps(timings, sort_keys=True) + "\n")
-        print(f"segmented {len(frames)} frames into {args.batch_dir}")
-        return 0
-
-    if not (args.semantic and args.offsets and args.out):
+        frames = []
+        for i, sem in enumerate(sem_files):
+            off = sem.with_suffix(".ccof")
+            if not off.exists():
+                raise UsageError(f"missing offset file for {sem}")
+            frames.append((sem, off, sem.with_suffix(".json"), i))
+    elif args.semantic and args.offsets and args.out:
+        frames = [(args.semantic, args.offsets, args.out, args.frame_id or 0)]
+    else:
         raise UsageError("segment needs SEMANTIC OFFSETS --out OUT (or --batch-dir)")
-    timing = run_one(args.semantic, args.offsets, args.out, args.frame_id or 0)
-    if args.timings:
-        args.timings.write_text(json.dumps(timing, sort_keys=True) + "\n")
-    print(f"wrote {args.out}")
+
+    with _all_or_nothing() as stage:
+        timings = []
+        for sem_path, off_path, out_path, frame_id in frames:
+            semantic = formats.read_semantic(sem_path)
+            offsets = formats.read_offsets(off_path)
+            try:
+                result = segment_frame(semantic, offsets, cfg)
+            except (DimensionMismatch, MemoryError) as exc:
+                raise type(exc)(f"{sem_path}: {str(exc) or 'out of memory'}") from exc
+            formats.write_manifest(stage(out_path), frame_id, semantic.dims, result.instances)
+            timings.append(result.timings)
+        if args.timings:
+            stage(args.timings).write_text(json.dumps(timings if args.batch_dir else timings[0], sort_keys=True) + "\n")
+    print(f"segmented {len(frames)} frames into {args.batch_dir}" if args.batch_dir else f"wrote {args.out}")
     return 0
 
 
@@ -218,7 +213,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             )
         preds.append(pred)
         gts.append(gt)
-    result = map_eval(preds, gts)
+    with warnings.catch_warnings():  # reported below in the CLI's own words
+        warnings.filterwarnings("ignore", "no ground-truth instances", UserWarning)
+        result = map_eval(preds, gts)
     for thr in sorted({t for _, t in result.per_class_threshold}):
         print(f"AP@{thr:.2f} = {result.per_threshold[thr]:.3f}")
     for cls, ap in sorted(result.per_class.items()):
@@ -250,15 +247,15 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         raise SceneGenerationError(f"{args.scene}: {exc}") from exc
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    for frame in frames:
-        semantic, offsets = frame.semantic, frame.offsets
-        if spec.noise.flip_rate > 0 or spec.noise.offset_sigma > 0:
-            semantic, offsets = perturb(frame, spec.noise, seed=spec.seed * 100003 + frame.index)
-        formats.write_semantic(out / f"frame_{frame.index:04d}.ccsm", semantic)
-        formats.write_offsets(out / f"frame_{frame.index:04d}.ccof", offsets)
-        formats.write_manifest(
-            out / f"gt_{frame.index:04d}.json", frame.index, frame.dims, gt_instances(frame)
-        )
+    with _all_or_nothing() as stage:
+        for frame in frames:
+            semantic, offsets = frame.semantic, frame.offsets
+            if spec.noise.flip_rate > 0 or spec.noise.offset_sigma > 0:
+                semantic, offsets = perturb(frame, spec.noise, seed=spec.seed * 100003 + frame.index)
+            name = f"{frame.index:04d}"
+            formats.write_semantic(stage(out / f"frame_{name}.ccsm"), semantic)
+            formats.write_offsets(stage(out / f"frame_{name}.ccof"), offsets)
+            formats.write_manifest(stage(out / f"gt_{name}.json"), frame.index, frame.dims, gt_instances(frame))
     print(f"wrote {args.frames} frames to {out}")
     return 0
 

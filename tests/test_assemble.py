@@ -14,6 +14,7 @@ from centerseg import (
     CenterCloud,
     ClusterLabels,
     GridDims,
+    Instance,
     PipelineConfig,
     SemanticMap,
     dbscan,
@@ -500,3 +501,28 @@ def test_full_scale_frame_memory(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak <= bound * 2**20, f"{strategy}: tracemalloc peak {peak / 2**20:.2f} MiB"
+
+
+def _instance(mask=None, center=(1.0, 1.0)):
+    dims = GridDims(4, 3)
+    return Instance(BinaryMask.full(dims) if mask is None else mask, center, "piglet", 0.5)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: _instance(mask=BinaryMask.empty(GridDims(4, 3))), "instance mask must cover at least one pixel"),
+        (lambda: _instance(center=(float("nan"), 1.0)), "predicted_center must be finite"),
+        (lambda: _instance(center=(1.0, float("inf"))), "predicted_center must be finite"),
+        (
+            lambda: instances_from_labels(
+                cloud_from(GridDims(4, 3), [0, 1, 2], np.zeros((3, 2))), ClusterLabels(np.array([1, 1]), 1)
+            ),
+            "2 labels for 3 votes",
+        ),
+    ],
+)
+def test_instances_validation_errors(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert info.type is ValueError and str(info.value) == message

@@ -318,3 +318,28 @@ def test_built_clouds_equal_validated_ones(maps, t, k, block):
         assert c.source_pixels.dtype == np.int64 and c.positions.dtype == np.float64 and c.filtered.dtype == bool
         assert c.positions.shape == (len(c), 2) and c.filtered.shape == (len(c),)
         assert not (c.source_pixels.flags.writeable or c.positions.flags.writeable or c.filtered.flags.writeable)
+
+
+def _cloud(src, n_positions=None, n_filtered=None):
+    src = np.asarray(src)
+    n_positions = len(src) if n_positions is None else n_positions
+    n_filtered = len(src) if n_filtered is None else n_filtered
+    return CenterCloud(GridDims(4, 3), src, np.zeros((n_positions, 2)), np.zeros(n_filtered, dtype=bool))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: _cloud([0, 1], n_positions=1), "cloud arrays must have equal length"),
+        (lambda: _cloud([0, 1], n_filtered=3), "cloud arrays must have equal length"),
+        (lambda: _cloud([-1, 1]), "source pixel out of bounds"),
+        (lambda: _cloud([0, 12]), "source pixel out of bounds"),  # 4x3 holds pixels 0..11
+        (lambda: _cloud([2, 2]), "source pixels must be strictly ascending"),
+        (lambda: _cloud([3, 1]), "source pixels must be strictly ascending"),
+        (lambda: filter_centers(_cloud([0, 1]), 1.0, -1, centers.FILTER_DENSITY), "min_neighbors must be >= 0"),
+    ],
+)
+def test_centers_validation_errors(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert info.type is ValueError and str(info.value) == message

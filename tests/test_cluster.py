@@ -839,3 +839,17 @@ def test_every_sub_cell_block_lies_within_the_radius(seed, r, kind):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert_sub_blocks_within(np.vstack(parts), r)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ClusterLabels(np.zeros((2, 2), dtype=np.int64), 0), "labels must be 1-D"),
+        (lambda: dbscan(np.zeros((4, 3)), 1.0, 1), "points must have shape (n, 2)"),
+        (lambda: dbscan(np.zeros(4), 1.0, 1), "points must have shape (n, 2)"),
+    ],
+)
+def test_clustering_validation_errors(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert info.type is ValueError and str(info.value) == message

@@ -684,6 +684,20 @@ def test_config_invalid_value_rejected():
         config_loads("rc2m=maybe\n")
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"min_neighbors": -1}, "min_neighbors must be >= 0"),
+        ({"filter_strategy": "median"}, "filter_strategy must be one of ('density', 'offset-magnitude')"),
+        ({"min_pts": 0}, "min_pts must be >= 1"),
+    ],
+)
+def test_config_validation_errors(values, message):
+    with pytest.raises(ValueError) as info:
+        PipelineConfig(**values)
+    assert info.type is ValueError and str(info.value) == message
+
+
 def test_config_comments_and_blank_lines():
     got = config_loads("# tuned for small scenes\n\neps=1.5\nmin_pts=12\n")
     assert got.eps == 1.5 and got.min_pts == 12
@@ -741,3 +755,18 @@ def test_scene_file_sets_every_documented_key():
     for name in ("central_radius", "min_central_visible", "positions"):
         with pytest.raises(FormatError, match="unknown scene keys"):
             scene_spec_loads(f"width=10\nheight=10\nn_piglets=1\n{name}=1\n")
+
+
+@pytest.mark.parametrize(
+    "loads, text, message",
+    [
+        (tracks_csv_loads, "", "bad tracks header"),
+        (tracks_csv_loads, "frame,track_id\n", "bad tracks header"),
+        (metrics_csv_loads, "", "bad metrics header"),
+        (metrics_csv_loads, "track_id,movement_px\n1,2.0\n", "bad metrics header"),
+    ],
+)
+def test_csv_header_validation_errors(loads, text, message):
+    with pytest.raises(FormatError) as info:
+        loads(text, "out/x.csv")
+    assert info.type is FormatError and str(info.value) == f"out/x.csv: byte 0: {message}"

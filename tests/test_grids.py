@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centerseg import BinaryMask, GridDims, rle_decode, rle_encode
+from centerseg import BinaryMask, GridDims, OffsetMap, SemanticMap, rle_decode, rle_encode
 
 
 def runs_by_scanning(bits):
@@ -261,3 +261,23 @@ def test_decoded_full_scale_instance_holds_its_box_not_the_frame():
     assert mask.crop.nbytes == 81 * 51
     assert held - before < 2 * mask.crop.nbytes + 4096
     assert peak - before < frame_bytes // 4
+
+
+DIMS = GridDims(4, 3)  # (3, 4) as an array shape
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: BinaryMask(DIMS, np.zeros((4, 3), dtype=bool)), "mask shape (4, 3) does not match dims (3, 4)"),
+        (lambda: SemanticMap(DIMS, np.zeros(12, dtype=np.uint8)), "labels shape (12,) does not match dims (3, 4)"),
+        (
+            lambda: OffsetMap(DIMS, np.zeros((3, 4), dtype=np.float32)),
+            "vectors shape (3, 4) does not match dims (3, 4) + (2,)",
+        ),
+    ],
+)
+def test_grids_validation_errors(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert info.type is ValueError and str(info.value) == message

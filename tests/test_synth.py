@@ -29,6 +29,7 @@ from centerseg import (
     perturb,
 )
 from centerseg.formats import scene_spec_loads
+from centerseg.synth import iter_sequence
 from test_golden import FULLRES_SCENE
 
 EIGHT = np.ones((3, 3), dtype=int)
@@ -409,3 +410,24 @@ if __name__ == "__main__":
         for key, digest in generator_digests(*case).items():
             print(f"    {key!r}: {digest!r},")
     print("}")
+
+
+DESK = GridDims(64, 48)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SceneSpec(GridDims(2**13 + 1, 2**13), 1), "8193x8192 exceeds the 67108864-pixel limit"),
+        (lambda: SceneSpec(DESK, -1), "n_piglets must be >= 0"),
+        (lambda: SceneSpec(DESK, 1, n_random_occluders=-1), "n_random_occluders must be >= 0"),
+        (lambda: SceneSpec(DESK, 2, positions=((20.0, 20.0),)), "positions must list one entry per piglet"),
+        (lambda: SceneSpec(DESK, 1, orientations=(0.0, 1.0)), "orientations must list one entry per piglet"),
+        (lambda: gen_frame(SceneSpec(DESK, 0, sow=False), -1), "frame_index must be >= 0"),
+        (lambda: iter_sequence(SceneSpec(DESK, 0, sow=False), 0), "n_frames must be >= 1"),
+    ],
+)
+def test_synth_validation_errors(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert info.type is ValueError and str(info.value) == message

@@ -336,3 +336,31 @@ def test_pairing_dims_mismatch_with_disjoint_boxes():
     cur = [block_inst(10, 10, 3, 3, dims=GridDims(30, 24))]
     with pytest.raises(DimensionMismatch):
         pair_frames(prev, cur, min_iou=0.0)
+
+
+def _twice_at_frame_3():
+    track = Track(0, "piglet", DIMS)
+    track.add_record(3, block_inst(0, 0, 4, 4))
+    track.add_record(3, block_inst(1, 0, 4, 4))
+
+
+def _state():
+    return TrackState(DIMS, fps=7.0, min_iou=0.0)
+
+
+@pytest.mark.parametrize(
+    "make, exc, message",
+    [
+        (_twice_at_frame_3, ValueError, "frame indices must be strictly increasing"),
+        (
+            lambda: update_tracks(_state(), frame([block_inst(0, 0, 2, 2, dims=GridDims(8, 6))])),
+            DimensionMismatch,
+            "instance mask 8x6 vs tracker 24x24",
+        ),
+        (lambda: track_metrics(Track(0, "piglet", DIMS), _state()), ValueError, "track has no records"),
+    ],
+)
+def test_tracking_validation_errors(make, exc, message):
+    with pytest.raises(exc) as info:
+        make()
+    assert info.type is exc and str(info.value) == message
